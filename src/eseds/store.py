@@ -5,6 +5,9 @@ handed over by the client; the only structure the server maintains is their
 order (dense mode: an array with shift-insert plus a fresh random rotation
 per insert; decoupled mode: an ordered map from sparse indices to cells with
 midpoint insertion and a background rebalancer).
+
+A decoupled rebalance pass is built beside the live entries and swapped in
+by its last step, so reads between steps see the pre-pass order.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import io
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MAGIC = b"ESEDS\x00"
 VERSION = 1
@@ -215,24 +218,6 @@ class _Entry:
     cell: bytes
 
 
-@dataclass
-class RebalanceCursor:
-    """Progress of one incremental rebalance pass.
-
-    ``next_position`` counts post-rotation ranks already re-indexed;
-    ``pending_rotation`` is the offset drawn once at the start of the pass.
-    """
-
-    next_position: int
-    pending_rotation: int
-    _plan: list = field(default_factory=list, repr=False)
-    _stamp: int = 0
-
-    @property
-    def done(self) -> bool:
-        return self.next_position >= len(self._plan)
-
-
 class DecoupledStore:
     """Sorted map from sparse indices to cells; rank = position in sparse order.
 
@@ -251,7 +236,9 @@ class DecoupledStore:
         self.domain_bits = index_bits
         self._entries: list[_Entry] = []
         self._rng = rng if rng is not None else random.SystemRandom()
-        self._mutations = 0
+        # pass in progress: its cells in rotated rank order, and the re-spaced
+        # entries built so far
+        self._pass: tuple[list[bytes], list[_Entry]] | None = None
         self.collisions = 0  # forced local rebalances observed (test visibility)
 
     @property
@@ -312,7 +299,7 @@ class DecoupledStore:
         sparse = (hi - lo) // 2 + lo
         rank = j_right if j_right is not None else len(self._entries)
         self._entries.insert(rank, _Entry(sparse, bytes(cell)))
-        self._mutations += 1
+        self._pass = None  # a pass in progress restarts from the new order
         return sparse
 
     def _local_rebalance(self, j_left: int | None, j_right: int | None) -> None:
@@ -334,63 +321,41 @@ class DecoupledStore:
             wr = min(n - 1, wr + 1)
         for i in range(count):
             self._entries[wl + i].sparse = lo + (i + 1) * step
-        self._mutations += 1
 
     # -- background rebalancer ------------------------------------------------
 
-    def start_rebalance(self) -> RebalanceCursor:
-        n = len(self._entries)
-        cursor = RebalanceCursor(
-            next_position=0,
-            pending_rotation=self._rng.randrange(n) if n else 0,
-        )
-        cursor._plan = list(self._entries)  # entry refs in rank order at pass start
-        cursor._stamp = self._mutations
-        if n and self.index_space // (n + 1) < 1:
-            raise StoreFull("too many cells for the sparse index space")
-        return cursor
+    def rebalance_step(self, batch: int) -> bool:
+        """Advance the rebalance pass by up to ``batch`` entries (batch <= 0
+        finishes it); True when this step completed the pass.
 
-    def _pass_target(self, p: int, n: int) -> int:
-        # rank p lands at (p+1) * floor(space/(n+1)): every inter-entry gap
-        # is exactly the step; the division remainder sits above the top entry
-        return (p + 1) * (self.index_space // (n + 1))
-
-    def rebalance_step(self, cursor: RebalanceCursor | None, batch: int) -> RebalanceCursor:
-        """Re-index up to ``batch`` entries (batch <= 0 means finish the pass).
-
-        The entry with post-rotation rank i ends at the i-th of n evenly
-        spread sparse indices; the rotation offset is drawn once per pass.
-        If the store was mutated since the pass began, the pass restarts; no
-        intermediate state ever holds two entries with the same sparse index.
+        A pass starts on the first step, or the first after a mutation: it
+        draws one rotation offset and snapshots the cells in rotated rank
+        order.  Post-rotation rank p gets sparse index (p+1) * floor(space/(n+1)),
+        so every gap is exactly the step and the division remainder sits above
+        the top entry.  The new entries are built beside ``_entries`` and swapped
+        in by the step that completes the pass, so reads between steps see the
+        pre-pass order and no live entry is touched mid-pass.
         """
-        if cursor is None or cursor._stamp != self._mutations:
-            cursor = self.start_rebalance()
-        n = len(cursor._plan)
-        if batch <= 0:
-            batch = n
-        by_sparse = {e.sparse: e for e in self._entries}
-        end = min(cursor.next_position + batch, n)
-        for p in range(cursor.next_position, end):
-            entry = cursor._plan[(p + cursor.pending_rotation) % n]
-            target = self._pass_target(p, n)
-            if entry.sparse == target:
-                continue
-            occupant = by_sparse.get(target)
-            del by_sparse[entry.sparse]
-            if occupant is not None:
-                # swap: the displaced entry takes the moving entry's old index,
-                # so indices stay pairwise distinct at every intermediate point
-                occupant.sparse = entry.sparse
-                by_sparse[occupant.sparse] = occupant
-            entry.sparse = target
-            by_sparse[target] = entry
-        cursor.next_position = end
-        self._entries.sort(key=lambda e: e.sparse)
-        return cursor
+        if self._pass is None:
+            n = len(self._entries)
+            rotation = self._rng.randrange(n) if n else 0
+            if n and self.index_space // (n + 1) < 1:
+                raise StoreFull("too many cells for the sparse index space")
+            cells = [e.cell for e in self._entries]
+            self._pass = (cells[rotation:] + cells[:rotation], [])
+        cells, built = self._pass
+        n = len(cells)
+        step = self.index_space // (n + 1)
+        end = n if batch <= 0 else min(len(built) + batch, n)
+        built.extend(_Entry((p + 1) * step, cells[p]) for p in range(len(built), end))
+        if end < n:
+            return False
+        self._entries, self._pass = built, None
+        return True
 
     def rebalance(self) -> None:
         """Run one complete pass."""
-        self.rebalance_step(None, 0)
+        self.rebalance_step(0)
 
     def save(self, sink) -> None:
         with _as_writer(sink) as out:

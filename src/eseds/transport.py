@@ -272,7 +272,6 @@ class StoreServer:
         self.store = store
         self.save_path = save_path
         self._lock = threading.Lock()
-        self._cursor = None  # rebalance progress across REBALANCE_HINT calls
 
     def handle(self, msg: Message) -> Message:
         try:
@@ -308,11 +307,7 @@ class StoreServer:
         if isinstance(msg, RebalanceHint):
             if store.mode != store_mod.MODE_DECOUPLED:
                 raise store_mod.ModeError("REBALANCE_HINT requires a decoupled store")
-            self._cursor = store.rebalance_step(self._cursor, msg.batch)
-            done = self._cursor.done
-            if done:
-                self._cursor = None
-            return Ok(bytes([1 if done else 0]))
+            return Ok(bytes([store.rebalance_step(msg.batch)]))
         if isinstance(msg, Save):
             if self.save_path is None:
                 return ErrorMsg(E_NO_SAVE_PATH, "server has no configured save path")

@@ -331,6 +331,29 @@ def test_top_k_accepts_cached_rotation_and_rejects_stale(key):
         top_k(key, stale, 4, D8, rotation=2)
 
 
+def test_decoupled_reads_between_rebalance_hints_match_oracle(key):
+    dom = Domain(64)
+    rng = random.Random(91)
+    model = [rng.randrange(dom.size) for _ in range(40)]
+    session, store = insert_all(key, model, dom, seed=91, mode="decoupled")
+    queries = [RangeQuery(rng.randrange(dom.size), rng.randrange(dom.size)) for _ in range(6)]
+    while not session.rebalance(1):
+        for q in queries:
+            pairs = read_values(key, session, search_range(key, session, q, dom), dom)
+            assert sorted(v for _, v in pairs) == sorted(
+                v for v in model if in_cyclic(v, q.a, q.b, dom.size)
+            ), q
+        assert top_k(key, session, 5, dom) == sorted(model)[:5]
+    # an insert between hints restarts the pass from the post-insert order
+    assert not session.rebalance(1) and not session.rebalance(1)
+    insert(key, session, 17, dom, coins=CoinSource(5))
+    model.append(17)
+    while not session.rebalance(1):
+        pass
+    values = decrypt_all(key, store)
+    assert sorted(values) == sorted(model) and is_rotation_of_sorted(values)
+
+
 # ---------------------------------------------------------------------------
 # round trips
 # ---------------------------------------------------------------------------

@@ -242,41 +242,38 @@ def test_rebalance_noop_up_to_rotation_when_already_equidistant():
 def test_rebalance_batched_equals_one_shot():
     a = _spaced_store(3, seed=42)
     b = _spaced_store(3, seed=42)
-    cursor = None
-    steps = 0
-    while True:
-        cursor = a.rebalance_step(cursor, 1)
+    steps = 1
+    while not a.rebalance_step(1):
         steps += 1
-        if cursor.done:
-            break
     assert steps == 3
-    b.rebalance_step(None, 3)
+    assert b.rebalance_step(3)
     assert a.sparse_indices() == b.sparse_indices()
     assert a.logical_cells() == b.logical_cells()
 
 
 def test_rebalance_restarts_after_mutation():
     st = _spaced_store(6, seed=4)
-    cursor = st.rebalance_step(None, 2)
-    assert not cursor.done
+    assert not st.rebalance_step(2)
     st.insert_between(5, None, b"zz")  # mutate mid-pass
-    cursor = st.rebalance_step(cursor, 0)  # detects the stamp change, restarts
-    assert cursor.done
+    assert st.rebalance_step(0)  # restarts from the post-insert order
     idx = st.sparse_indices()
     gaps = [b - a for a, b in zip(idx, idx[1:])]
     assert len(set(gaps)) == 1 and len(idx) == 7
+    ranks = [bytes([i]) for i in range(6)] + [b"zz"]
+    assert st.logical_cells() in [ranks[s:] + ranks[:s] for s in range(7)]
 
 
 def test_rebalance_unique_indices_at_every_batch_boundary():
     st = _spaced_store(12, seed=8)
-    cursor = None
+    before = st.logical_cells()
     while True:
-        cursor = st.rebalance_step(cursor, 1)
+        done = st.rebalance_step(1)
         idx = st.sparse_indices()
         assert len(set(idx)) == len(idx) == 12
         assert idx == sorted(idx)
-        if cursor.done:
+        if done:
             break
+        assert st.logical_cells() == before  # the pass is invisible until it completes
 
 
 def test_rebalance_rotation_uniformity():
