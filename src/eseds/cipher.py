@@ -1,4 +1,4 @@
-"""Cell encryption primitives: probabilistic authenticated encryption and a keyed PRF.
+"""Encryption primitives for cells: probabilistic authenticated encryption and a keyed PRF.
 
 Every stored value is sealed with AES-GCM under a fresh random nonce, so two
 encryptions of the same plaintext are unlinkable.  The PRF (HMAC-SHA256) is
@@ -103,10 +103,15 @@ def encrypt(key: SecretKey, value: int, domain_size: int) -> Ciphertext:
     return Ciphertext(nonce=nonce, body=sealed[:-TAG_LEN], tag=sealed[-TAG_LEN:])
 
 
-def decrypt(key: SecretKey, cell: Ciphertext) -> int:
-    """Decrypt and authenticate one cell, returning the stored value."""
+def decrypt(key: SecretKey, cell: bytes | Ciphertext) -> int:
+    """Decrypt and authenticate one cell (its serialized bytes, or a
+    ``Ciphertext``), returning the stored value."""
+    if isinstance(cell, Ciphertext):
+        cell = cell.to_bytes()
+    if len(cell) != CELL_LEN:
+        raise CipherError(f"cell must be {CELL_LEN} bytes, got {len(cell)}")
     try:
-        plain = key._aead.decrypt(cell.nonce, cell.body + cell.tag, None)
+        plain = key._aead.decrypt(cell[:NONCE_LEN], cell[NONCE_LEN:], None)
     except InvalidTag as exc:
         raise IntegrityError("ciphertext failed authentication") from exc
     return int.from_bytes(plain, "big")

@@ -22,7 +22,7 @@ from ..attacks import (
     score,
     sorting_attack,
 )
-from ..cipher import Ciphertext, SecretKey, decrypt
+from ..cipher import SecretKey, decrypt
 from ..core import CoinSource, Domain
 from ..store import DenseStore
 from ..transforms import build_det, build_fhope, build_ope, leakage_view
@@ -74,7 +74,7 @@ def _build(target: str, key: SecretKey, multiset: list[int], dom: Domain, rng: r
     """Build the structure and return it with its per-position truth."""
     if target == "main_eseds":
         store = bulk_store(key, multiset, dom, rng)
-        truth = [decrypt(key, Ciphertext.from_bytes(store.get_cell(j))) for j in range(len(store))]
+        truth = [decrypt(key, cell) for cell in store.logical_cells()]
         return store, truth
     if target == "det":
         obj = build_det(key, multiset, dom.size)

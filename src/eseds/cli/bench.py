@@ -49,7 +49,7 @@ class BenchRow:
     param: int  # range size or k
     mean_ms: float
     ci95_ms: float
-    round_trips: float  # mean cell fetches per operation
+    round_trips: float  # mean requests sent per operation
     baseline_ms: float  # same workload on a sorted plaintext list
 
 
@@ -109,12 +109,12 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
                 queries.append(RangeQuery(a, a + span - 1))
             times, trips = [], []
             for q in queries:
-                before = session.stats.cells_fetched
+                before = session.stats.requests_sent
                 t0 = time.perf_counter()
                 result = search_range(key, session, q, dom)
                 read_values(key, session, result, dom)
                 times.append((time.perf_counter() - t0) * 1000.0)
-                trips.append(session.stats.cells_fetched - before)
+                trips.append(session.stats.requests_sent - before)
             base = []
             for q in queries:
                 t0 = time.perf_counter()
@@ -134,11 +134,11 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
                 continue
             times, trips = [], []
             for _ in range(cfg.repeats):
-                before = session.stats.cells_fetched
+                before = session.stats.requests_sent
                 t0 = time.perf_counter()
                 top_k(key, session, k, dom)
                 times.append((time.perf_counter() - t0) * 1000.0)
-                trips.append(session.stats.cells_fetched - before)
+                trips.append(session.stats.requests_sent - before)
             base = []
             for _ in range(cfg.repeats):
                 t0 = time.perf_counter()

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from ..cipher import Ciphertext, SecretKey, decrypt, keygen
+from ..cipher import SecretKey, decrypt, keygen
 from ..core import CoinSource, Domain, insert
 from ..store import DenseStore
 from ..transforms import build_det, build_fhope, build_ope, leakage_view
@@ -132,7 +132,7 @@ def _build_target(target: str, key: SecretKey, multiset: list[int], dom: Domain,
 
 def _decrypt_at(key: SecretKey, structure, j: int) -> int:
     if isinstance(structure, DenseStore):
-        return decrypt(key, Ciphertext.from_bytes(structure.get_cell(j)))
+        return decrypt(key, structure.get_cell(j))
     return structure.decrypt_cell(key, j)
 
 

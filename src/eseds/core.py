@@ -3,7 +3,9 @@
 The server holds an array of opaque cells whose decryptions are always a
 cyclic rotation of the sorted multiset of inserted values.  The client keeps
 no state between operations; every operation rediscovers what it needs by
-fetching single cells and decrypting them locally.
+fetching cells and decrypting them locally.  Binary-search probes and the
+scan fallbacks read one cell per request; top-k and the read-back of a
+search result read each run of consecutive cells with one GET_RANGE.
 
 All order comparisons happen in the frame of r = Dec(C[0]): the map
 f(x) = (x - r) mod N straightens the rotation out, because the cell array
@@ -23,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cipher import Ciphertext, SecretKey, decrypt, encrypt
+from .cipher import CELL_LEN, SecretKey, decrypt, encrypt
 from .store import MODE_DECOUPLED, MODE_DENSE
 
 
@@ -97,7 +99,9 @@ def in_cyclic_range(v: int, a: int, b: int, dom: Domain) -> bool:
 
 
 class _OpView:
-    """Per-operation cell cache: each distinct index costs one GET_CELL."""
+    """Per-operation cell reader.  ``value`` caches each probed index, so a
+    distinct index costs one one-cell GET_RANGE; ``values`` reads a run of
+    cells with one GET_RANGE per frame and caches nothing."""
 
     def __init__(self, key: SecretKey, session, dom: Domain):
         self._key = key
@@ -107,12 +111,20 @@ class _OpView:
 
     def value(self, j: int) -> int:
         if j not in self._values:
-            cell = Ciphertext.from_bytes(self._session.get_cell(j))
-            v = decrypt(self._key, cell)
-            if v >= self._dom.size:
-                raise ProtocolError(f"cell {j} decrypts outside the domain")
-            self._values[j] = v
+            self._values[j] = self._decrypt(j, self._session.get_cell(j))
         return self._values[j]
+
+    def values(self, start: int, count: int, n: int) -> list[int]:
+        """Values of ``count`` cells read cyclically from ``start`` of an
+        ``n``-cell store."""
+        cells = self._session.get_range(start, count, n, CELL_LEN)
+        return [self._decrypt((start + i) % n, cell) for i, cell in enumerate(cells)]
+
+    def _decrypt(self, j: int, cell: bytes) -> int:
+        v = decrypt(self._key, cell)
+        if v >= self._dom.size:
+            raise ProtocolError(f"cell {j} decrypts outside the domain")
+        return v
 
 
 def _check_plaintext(m: int, dom: Domain, what: str) -> None:
@@ -146,9 +158,14 @@ def _first_greater(keyf, lo: int, hi: int, target: int) -> int:
 
 
 def _rotation_starts(values: list[int]) -> list[int]:
+    """Every w such that values[w:] + values[:w] is sorted.  A rotation of a
+    sorted multiset has at most one cyclic descent: with none all values are
+    equal and every w works, with one at i only w = i+1 does, with more none."""
     n = len(values)
-    target = sorted(values)
-    return [w for w in range(n) if values[w:] + values[:w] == target]
+    descents = [i for i in range(n) if values[i] > values[(i + 1) % n]]
+    if not descents:
+        return list(range(n))
+    return [(descents[0] + 1) % n] if len(descents) == 1 else []
 
 
 def _scan_rotation(view: _OpView, n: int) -> int:
@@ -366,19 +383,24 @@ def find_rotation(key: SecretKey, session, dom: Domain) -> int:
 
 def top_k(key: SecretKey, session, k: int, dom: Domain, rotation: int | None = None) -> list[int]:
     """The k smallest stored values, ascending: the rotation start (cached
-    across calls if the caller supplies it) plus k sequential reads."""
+    across calls if the caller supplies it) plus one range read of k cells."""
     n = session.length()
     if not 1 <= k <= n:
         raise ProtocolError(f"k must be in [1, {n}], got {k}")
     view = _OpView(key, session, dom)
     w = rotation if rotation is not None else _rotation(view, n, dom)
-    out = [view.value((w + i) % n) for i in range(k)]
+    out = view.values(w, k, n)
     if any(x > y for x, y in zip(out, out[1:])):
         raise ProtocolError("reads out of order: stale rotation index?")
     return out
 
 
 def read_values(key: SecretKey, session, result: RangeResult, dom: Domain) -> list[tuple[int, int]]:
-    """Fetch and decrypt every cell of a search result, as (index, value)."""
+    """Fetch and decrypt every cell of a search result, as (index, value),
+    with one range read per segment."""
     view = _OpView(key, session, dom)
-    return [(j, view.value(j)) for j in result.indices()]
+    out = []
+    for lo, hi in result.segments:
+        # a segment never wraps, so hi + 1 serves as the store size
+        out += zip(range(lo, hi + 1), view.values(lo, hi - lo + 1, hi + 1))
+    return out

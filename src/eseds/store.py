@@ -145,7 +145,7 @@ class _as_writer:
 
 
 class DenseStore:
-    """Cell array with shift-insert and a fresh uniform rotation per insert.
+    """Array of cells with shift-insert and a fresh uniform rotation per insert.
 
     The rotation is kept as a logical start offset instead of physically
     copying the array: cell j lives at ``_cells[(_start + j) % n]``.  Save
@@ -168,6 +168,15 @@ class DenseStore:
         if not 0 <= j < n:
             raise OutOfRange(f"index {j} out of range for {n} cells")
         return self._cells[(self._start + j) % n]
+
+    def get_range(self, start: int, count: int) -> list[bytes]:
+        """Logical cells start, start+1, ... (count of them, wrapping past n-1)."""
+        cells, n = self._cells, len(self._cells)
+        if not (0 <= start < n and 1 <= count <= n):
+            raise OutOfRange(f"range of {count} from {start} out of range for {n} cells")
+        p = (self._start + start) % n
+        end = p + count
+        return cells[p:end] if end <= n else cells[p:] + cells[: end - n]
 
     def insert_at(self, l: int, cell: bytes, rotation_coins=None) -> None:
         """Insert at logical slot l (0 <= l <= n), then rotate by a fresh
@@ -252,6 +261,14 @@ class DecoupledStore:
         if not 0 <= j < len(self._entries):
             raise OutOfRange(f"rank {j} out of range for {len(self._entries)} cells")
         return self._entries[j].cell
+
+    def get_range(self, start: int, count: int) -> list[bytes]:
+        """Cells of ranks start, start+1, ... (count of them, wrapping past n-1)."""
+        entries, n = self._entries, len(self._entries)
+        if not (0 <= start < n and 1 <= count <= n):
+            raise OutOfRange(f"range of {count} from {start} out of range for {n} cells")
+        end = start + count
+        return [e.cell for e in entries[start:end]] + [e.cell for e in entries[: max(0, end - n)]]
 
     def sparse_indices(self) -> list[int]:
         return [e.sparse for e in self._entries]

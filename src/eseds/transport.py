@@ -4,7 +4,9 @@ Frame layout: u32 big-endian length ‖ u8 opcode ‖ payload, where the length
 covers opcode + payload.  All integers on the wire are big-endian.  Cells are
 opaque length-prefixed byte strings; sparse indices travel as 32-byte
 big-endian regardless of the store's configured index width.  No frame may
-exceed 16 MiB.  Key material has no encoding in this protocol at all.
+exceed 16 MiB: the server refuses a GET_RANGE whose answer would, and the
+client splits larger reads.  Key material has no encoding in this protocol
+at all.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ MAX_FRAME = 16 * 1024 * 1024  # opcode + payload
 DEFAULT_PORT = 7487
 
 # request opcodes
-GET_CELL = 0x01
+GET_RANGE = 0x01
 INSERT_AT = 0x02
 INSERT_BETWEEN = 0x03
 LENGTH = 0x04
@@ -30,7 +32,7 @@ REBALANCE_HINT = 0x05
 SAVE = 0x06
 # response opcodes
 ERROR = 0x20
-CELL = 0x21
+CELLS = 0x21
 OK = 0x22
 LEN = 0x23
 
@@ -76,76 +78,85 @@ class ServerError(TransportError):
 
 
 # ---------------------------------------------------------------------------
-# messages
+# messages (slotted: a frozen dataclass without slots takes about twice as
+# long to build, and every request builds two messages on each side)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GetCell:
-    j: int
+@dataclass(frozen=True, slots=True)
+class GetRange:
+    """``count`` cells read cyclically from index ``start``."""
+
+    start: int
+    count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InsertAt:
     l: int
     cell: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InsertBetween:
     j_left: int | None
     j_right: int | None
     cell: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Length:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RebalanceHint:
     batch: int = 0  # 0 = run the pass to completion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Save:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ErrorMsg:
     code: int
     message: str
 
 
-@dataclass(frozen=True)
-class Cell:
-    data: bytes
+@dataclass(frozen=True, slots=True)
+class Cells:
+    cells: tuple[bytes, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ok:
     data: bytes = b""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Len:
     count: int
     mode: int
 
 
-Message = GetCell | InsertAt | InsertBetween | Length | RebalanceHint | Save | ErrorMsg | Cell | Ok | Len
+Message = GetRange | InsertAt | InsertBetween | Length | RebalanceHint | Save | ErrorMsg | Cells | Ok | Len
 
-REQUEST_OPCODES = {GET_CELL, INSERT_AT, INSERT_BETWEEN, LENGTH, REBALANCE_HINT, SAVE}
+REQUEST_OPCODES = {GET_RANGE, INSERT_AT, INSERT_BETWEEN, LENGTH, REBALANCE_HINT, SAVE}
+
+_U8, _U16, _U32, _U64 = (struct.Struct(fmt) for fmt in (">B", ">H", ">I", ">Q"))
+_U64X2 = struct.Struct(">QQ")
+_GET_RANGE = struct.Struct(">BQQ")
+_CELLS = struct.Struct(">BI")
 
 
 def _u64(x: int) -> bytes:
-    return struct.pack(">Q", x)
+    return _U64.pack(x)
 
 
 def _blob(b: bytes) -> bytes:
-    return struct.pack(">I", len(b)) + b
+    return _U32.pack(len(b)) + b
 
 
 def _rank(j: int | None) -> bytes:
@@ -154,8 +165,13 @@ def _rank(j: int | None) -> bytes:
 
 def encode(msg: Message) -> bytes:
     """Serialize a message to a complete frame (length prefix included)."""
-    if isinstance(msg, GetCell):
-        body = bytes([GET_CELL]) + _u64(msg.j)
+    if isinstance(msg, GetRange):
+        body = _GET_RANGE.pack(GET_RANGE, msg.start, msg.count)
+    elif isinstance(msg, Cells):
+        parts = [_CELLS.pack(CELLS, len(msg.cells))]
+        for cell in msg.cells:
+            parts += (_U32.pack(len(cell)), cell)
+        body = b"".join(parts)
     elif isinstance(msg, InsertAt):
         body = bytes([INSERT_AT]) + _u64(msg.l) + _blob(msg.cell)
     elif isinstance(msg, InsertBetween):
@@ -168,8 +184,6 @@ def encode(msg: Message) -> bytes:
         body = bytes([SAVE])
     elif isinstance(msg, ErrorMsg):
         body = bytes([ERROR]) + struct.pack(">H", msg.code) + _blob(msg.message.encode())
-    elif isinstance(msg, Cell):
-        body = bytes([CELL]) + _blob(msg.data)
     elif isinstance(msg, Ok):
         body = bytes([OK]) + _blob(msg.data)
     elif isinstance(msg, Len):
@@ -182,31 +196,56 @@ def encode(msg: Message) -> bytes:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    """Bounds-checked cursor over a frame, starting past its length prefix."""
+
+    def __init__(self, buf: bytes, pos: int):
         self._buf = buf
-        self._pos = 0
+        self._pos = pos
 
     def take(self, n: int) -> bytes:
-        if self._pos + n > len(self._buf):
+        pos = self._pos
+        if pos + n > len(self._buf):
             raise CodecError("truncated frame")
-        out = self._buf[self._pos : self._pos + n]
-        self._pos += n
-        return out
+        self._pos = pos + n
+        return self._buf[pos : pos + n]
+
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        pos = self._pos
+        if pos + fmt.size > len(self._buf):
+            raise CodecError("truncated frame")
+        self._pos = pos + fmt.size
+        return fmt.unpack_from(self._buf, pos)
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        return self.unpack(_U8)[0]
 
     def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
+        return self.unpack(_U16)[0]
 
     def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
+        return self.unpack(_U32)[0]
 
     def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
+        return self.unpack(_U64)[0]
 
     def blob(self) -> bytes:
         return self.take(self.u32())
+
+    def blobs(self) -> tuple[bytes, ...]:
+        """A u32 count, then that many blobs."""
+        (count,) = self.unpack(_U32)
+        buf, pos, end = self._buf, self._pos, len(self._buf)
+        out = []
+        for _ in range(count):  # inlined blob(): this loop decodes every cell read
+            if pos + 4 > end:
+                raise CodecError("truncated frame")
+            (size,) = _U32.unpack_from(buf, pos)
+            pos += 4 + size
+            if pos > end:
+                raise CodecError("truncated frame")
+            out.append(buf[pos - size : pos])
+        self._pos = pos
+        return tuple(out)
 
     def rank(self) -> int | None:
         j = self.u64()
@@ -221,16 +260,18 @@ def decode(frame: bytes) -> Message:
     """Parse a complete frame back into a message, rejecting any malformation."""
     if len(frame) < 5:
         raise CodecError("frame shorter than header")
-    (length,) = struct.unpack(">I", frame[:4])
+    (length,) = _U32.unpack_from(frame)
     if length > MAX_FRAME:
         raise CodecError(f"declared length {length} exceeds the 16 MiB cap")
     if length != len(frame) - 4:
         raise CodecError("frame length mismatch")
-    r = _Reader(frame[4:])
+    r = _Reader(frame, 4)
     opcode = r.u8()
     msg: Message
-    if opcode == GET_CELL:
-        msg = GetCell(r.u64())
+    if opcode == GET_RANGE:
+        msg = GetRange(*r.unpack(_U64X2))
+    elif opcode == CELLS:
+        msg = Cells(r.blobs())
     elif opcode == INSERT_AT:
         msg = InsertAt(r.u64(), r.blob())
     elif opcode == INSERT_BETWEEN:
@@ -244,8 +285,6 @@ def decode(frame: bytes) -> Message:
     elif opcode == ERROR:
         code = r.u16()
         msg = ErrorMsg(code, r.blob().decode())
-    elif opcode == CELL:
-        msg = Cell(r.blob())
     elif opcode == OK:
         msg = Ok(r.blob())
     elif opcode == LEN:
@@ -290,8 +329,12 @@ class StoreServer:
 
     def _dispatch(self, msg: Message) -> Message:
         store = self.store
-        if isinstance(msg, GetCell):
-            return Cell(store.get_cell(msg.j))
+        if isinstance(msg, GetRange):
+            cells = store.get_range(msg.start, msg.count)
+            size = 5 + 4 * len(cells) + sum(map(len, cells))  # opcode, count, blobs
+            if size > MAX_FRAME:
+                return ErrorMsg(E_BAD_REQUEST, f"{msg.count} cells need a {size}-byte frame, over the cap")
+            return Cells(tuple(cells))
         if isinstance(msg, InsertAt):
             if store.mode != store_mod.MODE_DENSE:
                 raise store_mod.ModeError("INSERT_AT requires a dense store")
@@ -345,7 +388,17 @@ class _SessionBase:
         return resp
 
     def get_cell(self, j: int) -> bytes:
-        return self._expect(GetCell(j), Cell).data
+        return self._expect(GetRange(j, 1), Cells).cells[0]
+
+    def get_range(self, start: int, count: int, n: int, cell_len: int) -> list[bytes]:
+        """``count`` cells of ``cell_len`` bytes read cyclically from index
+        ``start`` of an ``n``-cell store, in as few GET_RANGE requests as
+        the frame cap allows."""
+        per = max(1, (MAX_FRAME - 5) // (4 + cell_len))
+        out: list[bytes] = []
+        for off in range(0, count, per):
+            out += self._expect(GetRange((start + off) % n, min(per, count - off)), Cells).cells
+        return out
 
     def insert_at(self, l: int, cell: bytes) -> None:
         self._expect(InsertAt(l, cell), Ok)
@@ -396,8 +449,8 @@ class LocalSession(_SessionBase):
         if self.wire_log is not None:
             self.wire_log.append(("recv", resp_frame))
         resp = decode(resp_frame)
-        if isinstance(resp, Cell):
-            self.stats.cells_fetched += 1
+        if isinstance(resp, Cells):
+            self.stats.cells_fetched += len(resp.cells)
         return resp
 
 
@@ -431,8 +484,8 @@ class TcpSession(_SessionBase):
         frame = header + self._recv_exact(length)
         self.stats.bytes_on_wire += len(frame)
         resp = decode(frame)
-        if isinstance(resp, Cell):
-            self.stats.cells_fetched += 1
+        if isinstance(resp, Cells):
+            self.stats.cells_fetched += len(resp.cells)
         return resp
 
     def _recv_exact(self, n: int) -> bytes:
@@ -472,7 +525,7 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
                 # fail-safe: report, then drop the connection; store untouched
                 sock.sendall(encode(ErrorMsg(E_BAD_REQUEST, str(e))))
                 return
-            if not isinstance(msg, (GetCell, InsertAt, InsertBetween, Length, RebalanceHint, Save)):
+            if not isinstance(msg, (GetRange, InsertAt, InsertBetween, Length, RebalanceHint, Save)):
                 sock.sendall(encode(ErrorMsg(E_BAD_REQUEST, f"{type(msg).__name__} is not a request")))
                 return
             sock.sendall(encode(server.handle(msg)))

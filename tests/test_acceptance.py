@@ -31,9 +31,9 @@ from eseds.core import CoinSource, Domain, RangeQuery, insert, search_range
 from eseds.store import DecoupledStore, DenseStore, load as load_store
 from eseds.transforms import build_det, build_fhope, build_ope, load_any
 from eseds.transport import (
-    Cell,
+    Cells,
     ErrorMsg,
-    GetCell,
+    GetRange,
     InsertAt,
     InsertBetween,
     Len,
@@ -495,7 +495,7 @@ def test_criterion_11_persistence_and_codec_round_trips(capsys, tmp_path):
     for _ in range(CODEC_FRAMES):
         msg = rng.choice(
             [
-                GetCell(rng.randrange(1 << 64)),
+                GetRange(rng.randrange(1 << 64), rng.randrange(1 << 64)),
                 InsertAt(rng.randrange(1 << 32), rng.randbytes(rng.randrange(80))),
                 InsertBetween(
                     None if rng.random() < 0.25 else rng.randrange(1 << 40),
@@ -505,7 +505,7 @@ def test_criterion_11_persistence_and_codec_round_trips(capsys, tmp_path):
                 Length(),
                 RebalanceHint(rng.randrange(1 << 16)),
                 Save(),
-                Cell(rng.randbytes(rng.randrange(1, 80))),
+                Cells(tuple(rng.randbytes(rng.randrange(80)) for _ in range(rng.randrange(4)))),
                 Ok(rng.randbytes(rng.randrange(4))),
                 Len(rng.randrange(1 << 64), rng.randrange(5)),
                 ErrorMsg(rng.randrange(1 << 16), "e" * rng.randrange(32)),

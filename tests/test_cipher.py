@@ -67,6 +67,21 @@ def test_tampered_cell_fails_auth():
         decrypt(key, Ciphertext.from_bytes(bytes(raw)))
 
 
+def test_decrypt_takes_cell_bytes():
+    key = keygen()
+    raw = encrypt(key, 9, 16).to_bytes()
+    assert decrypt(key, raw) == 9
+    for bad in (raw[:-1], raw + b"\x00", b""):
+        with pytest.raises(CipherError) as exc:
+            decrypt(key, bad)
+        assert not isinstance(exc.value, IntegrityError)
+    for i in range(CELL_LEN):  # nonce, body and tag bytes alike
+        flipped = bytearray(raw)
+        flipped[i] ^= 0x01
+        with pytest.raises(IntegrityError):
+            decrypt(key, bytes(flipped))
+
+
 def test_cell_bytes_round_trip_and_length():
     key = keygen()
     cell = encrypt(key, 3, 16)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from eseds import transport
 from eseds.cipher import encrypt, keygen
 from eseds.core import (
     CoinSource,
@@ -21,9 +22,10 @@ from eseds.core import (
     read_values,
     search_range,
     top_k,
+    _rotation_starts,
 )
 from eseds.store import DenseStore
-from eseds.transport import LocalSession
+from eseds.transport import GetRange, Length, LocalSession, decode
 
 from helpers import (
     brute_match_indices,
@@ -329,6 +331,68 @@ def test_top_k_accepts_cached_rotation_and_rejects_stale(key):
     stale = direct_session(key, [1, 2, 3, 4], D8)
     with pytest.raises(ProtocolError):
         top_k(key, stale, 4, D8, rotation=2)
+
+
+def _requests(log):
+    return [decode(frame) for direction, frame in log if direction == "send"]
+
+
+def test_top_k_reads_its_cells_with_one_range_request(key):
+    dom = Domain(1 << 16)
+    values = random.Random(12).sample(range(dom.size), 200)
+    cells = [encrypt(key, v, dom.size).to_bytes() for v in sorted(values)]
+    log = []
+    session = LocalSession(DenseStore(cells[150:] + cells[:150]), wire_log=log)
+    assert top_k(key, session, 80, dom) == sorted(values)[:80]
+    sent = _requests(log)
+    assert sent[0] == Length()
+    assert all(msg.count == 1 for msg in sent[1:-1])  # the rotation probes
+    assert 1 < len(sent) - 2 <= 12  # log2(200) + 4
+    assert sent[-1] == GetRange(50, 80)  # wraps past the last cell
+    assert session.stats.requests_sent == len(sent)
+
+
+def test_read_values_sends_one_request_per_segment(key):
+    dom = Domain(64)
+    values = list(range(0, 64, 2))
+    log = []
+    session = LocalSession(direct_store(key, values[5:] + values[:5], dom), wire_log=log)
+    result = search_range(key, session, RangeQuery(2, 12), dom)
+    assert result.segments == ((0, 1), (28, 31))
+    del log[:]
+    pairs = read_values(key, session, result, dom)
+    assert _requests(log) == [GetRange(0, 2), GetRange(28, 4)]
+    assert pairs == [(0, 10), (1, 12), (28, 2), (29, 4), (30, 6), (31, 8)]
+
+
+def test_top_k_splits_a_read_larger_than_one_frame(key, monkeypatch):
+    dom = Domain(256)
+    values = random.Random(13).sample(range(dom.size), 30)
+    cells = [encrypt(key, v, dom.size).to_bytes() for v in sorted(values)]
+    log = []
+    session = LocalSession(DenseStore(cells[20:] + cells[:20]), wire_log=log)
+    # room for 3 cells of 36 bytes per CELLS frame (opcode, count, blobs)
+    monkeypatch.setattr(transport, "MAX_FRAME", 5 + 3 * (4 + 36))
+    assert top_k(key, session, 25, dom) == sorted(values)[:25]
+    sent = _requests(log)
+    starts = [(10 + 3 * i) % 30 for i in range(9)]
+    assert sent[-9:] == [GetRange(s, 3) for s in starts[:8]] + [GetRange(starts[8], 1)]
+    assert session.stats.cells_fetched == (len(sent) - 10) + 25  # probes + the k cells
+
+
+def test_rotation_starts_matches_brute_force():
+    rng = random.Random(17)
+    cases = [[], [4], [2, 2, 2, 2], [1, 2, 1, 2], [3, 1, 2, 1], [2, 1]]
+    for _ in range(3000):
+        n = rng.randrange(1, 9)
+        ordered = sorted(rng.choices(range(4), k=n))
+        w = rng.randrange(n)
+        cases.append(ordered[w:] + ordered[:w])  # a rotation
+        cases.append([rng.choice(ordered)] * n)  # all equal
+        cases.append(rng.choices(range(4), k=n))  # mostly not a rotation
+    assert sum(not rotation_starts(c) for c in cases) > 1000
+    for values in cases:
+        assert _rotation_starts(values) == rotation_starts(values), values
 
 
 def test_decoupled_reads_between_rebalance_hints_match_oracle(key):

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from eseds import transport
 from eseds.cipher import Ciphertext, decrypt
 from eseds.core import CoinSource, Domain, RangeQuery, insert, search_range
 from eseds.store import DecoupledStore, DenseStore
@@ -14,10 +15,10 @@ from eseds.transport import (
     DEFAULT_PORT,
     MAX_FRAME,
     NONE_RANK,
-    Cell,
+    Cells,
     CodecError,
     ErrorMsg,
-    GetCell,
+    GetRange,
     InsertAt,
     InsertBetween,
     Len,
@@ -36,8 +37,8 @@ from eseds.transport import (
 )
 
 MESSAGES = [
-    GetCell(0),
-    GetCell((1 << 64) - 2),
+    GetRange(0, 1),
+    GetRange((1 << 64) - 2, (1 << 64) - 1),
     InsertAt(3, b"cellbytes"),
     InsertAt(0, b""),
     InsertBetween(None, 0, b"c"),
@@ -50,7 +51,9 @@ MESSAGES = [
     Save(),
     ErrorMsg(2, "rank 9 out of range"),
     ErrorMsg(1, ""),
-    Cell(b"\x00" * 36),
+    Cells((b"\x00" * 36,)),
+    Cells((b"a" * 36, b"", b"bc", b"")),
+    Cells(()),
     Ok(b""),
     Ok(b"\x01"),
     Len(0, 0),
@@ -76,7 +79,7 @@ def test_decode_rejects_garbage():
         decode(encode(Length())[:-1])  # truncated
     with pytest.raises(CodecError):
         decode(encode(Length()) + b"x")  # length mismatch
-    frame = bytearray(encode(GetCell(2)))
+    frame = bytearray(encode(GetRange(2, 1)))
     frame[4:5] = b"\x99"
     with pytest.raises(CodecError):
         decode(bytes(frame))
@@ -90,9 +93,54 @@ def test_decode_rejects_trailing_payload():
         decode(bytes(frame))
 
 
+def _frame(body: bytes) -> bytes:
+    return len(body).to_bytes(4, "big") + body
+
+
+def test_decode_rejects_truncated_or_trailing_cells():
+    body = encode(Cells((b"ab", b"")))[4:]
+    assert body == b"\x21" + b"\x00\x00\x00\x02" + b"\x00\x00\x00\x02ab" + b"\x00\x00\x00\x00"
+    bad = [
+        body[:3],  # count cut short
+        body[:-4],  # second blob missing
+        body[:-5],  # first blob short of its payload
+        b"\x21\x00\x00\x00\x03" + body[5:],  # count claims one blob more
+        body + b"\x00",  # trailing byte
+        b"\x21\x00\x00\x00\x01" + body[5:],  # count claims one blob less
+    ]
+    for frame in map(_frame, bad):
+        with pytest.raises(CodecError):
+            decode(frame)
+
+
+class _FixedRotation:
+    def __init__(self, s: int):
+        self.s = s
+
+    def randrange(self, n: int) -> int:
+        return self.s
+
+
+def test_get_range_reads_cyclically_from_dense_and_decoupled_stores():
+    dense = DenseStore([b"a", b"b", b"c", b"d"])
+    dense.insert_at(4, b"e", rotation_coins=_FixedRotation(3))
+    assert dense.logical_cells() == [b"d", b"e", b"a", b"b", b"c"]
+    decoupled = DecoupledStore(index_bits=16)
+    for i, cell in enumerate([b"p", b"q", b"r", b"s", b"t"]):
+        decoupled.insert_between(i - 1 if i else None, None, cell)
+    for store in (dense, decoupled):
+        server, logical = StoreServer(store), store.logical_cells()
+        for start in range(5):
+            for count in range(1, 6):
+                want = tuple(logical[(start + i) % 5] for i in range(count))
+                assert server.handle(GetRange(start, count)) == Cells(want)
+    assert StoreServer(dense).handle(GetRange(3, 4)) == Cells((b"b", b"c", b"d", b"e"))
+    assert StoreServer(decoupled).handle(GetRange(4, 2)) == Cells((b"t", b"p"))
+
+
 def test_encode_rejects_oversized():
     with pytest.raises(CodecError):
-        encode(Cell(b"x" * (MAX_FRAME + 1)))
+        encode(Cells((b"x" * (MAX_FRAME + 1),)))
 
 
 def test_random_frame_round_trips():
@@ -100,7 +148,7 @@ def test_random_frame_round_trips():
     for _ in range(2000):
         msg = rng.choice(
             [
-                GetCell(rng.randrange(1 << 64)),
+                GetRange(rng.randrange(1 << 64), rng.randrange(1 << 64)),
                 InsertAt(rng.randrange(1 << 32), rng.randbytes(rng.randrange(64))),
                 InsertBetween(
                     None if rng.random() < 0.3 else rng.randrange(1 << 32),
@@ -108,7 +156,7 @@ def test_random_frame_round_trips():
                     rng.randbytes(rng.randrange(64)),
                 ),
                 ErrorMsg(rng.randrange(1 << 16), "x" * rng.randrange(40)),
-                Cell(rng.randbytes(36)),
+                Cells(tuple(rng.randbytes(rng.choice((0, 36))) for _ in range(rng.randrange(5)))),
                 Len(rng.randrange(1 << 64), rng.randrange(5)),
             ]
         )
@@ -125,9 +173,9 @@ def test_server_roundtrip_and_errors(tmp_path):
     server = StoreServer(store, save_path=str(tmp_path / "s.store"))
     assert server.handle(Length()) == Len(0, 0)
     assert isinstance(server.handle(InsertAt(0, b"abc")), Ok)
-    assert server.handle(GetCell(0)) == Cell(b"abc")
+    assert server.handle(GetRange(0, 1)) == Cells((b"abc",))
 
-    resp = server.handle(GetCell(5))
+    resp = server.handle(GetRange(5, 1))
     assert isinstance(resp, ErrorMsg) and resp.code == 2  # out of range
     resp = server.handle(InsertBetween(None, None, b"x"))
     assert isinstance(resp, ErrorMsg) and resp.code == 3  # wrong mode
@@ -180,6 +228,11 @@ def test_session_stats_count_fetches():
     assert session.stats.cells_fetched == 2
     assert session.stats.requests_sent == 3
     assert session.stats.bytes_on_wire > 0
+    session.insert_at(0, b"b")
+    session.insert_at(0, b"c")
+    assert sorted(session.get_range(1, 3, 3, 1)) == [b"a", b"b", b"c"]
+    assert session.stats.cells_fetched == 5  # cells, not requests
+    assert session.stats.requests_sent == 6
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +286,29 @@ def test_tcp_error_frames_surface_as_server_errors(tcp_server):
         assert session.length() == 0  # connection still usable
 
 
+def test_tcp_get_range_errors_leave_the_connection_usable(tcp_server, monkeypatch):
+    server, store = tcp_server
+    host, port = server.server_address
+    for cell in (b"a" * 36, b"b" * 36, b"c" * 36):
+        store.insert_at(0, cell)
+    # room for 2 cells of 36 bytes per CELLS frame (opcode, count, blobs)
+    monkeypatch.setattr(transport, "MAX_FRAME", 5 + 2 * (4 + 36))
+    with TcpSession(host, port) as session:
+        for start, count, code in [(3, 1, 2), (0, 0, 2), (0, 4, 2), (0, 3, 1)]:
+            resp = session.request(GetRange(start, count))
+            assert isinstance(resp, ErrorMsg) and resp.code == code, (start, count)
+            assert session.length() == 3  # connection still usable
+        logical = store.logical_cells()
+        assert session.request(GetRange(2, 2)) == Cells((logical[2], logical[0]))
+        assert session.get_range(1, 3, 3, 36) == logical[1:] + logical[:1]  # split in two
+        assert (session.stats.requests_sent, session.stats.cells_fetched) == (11, 5)
+
+
 def test_tcp_rejects_non_request_frames(tcp_server):
     server, _ = tcp_server
     host, port = server.server_address
     with socket.create_connection((host, port), timeout=5) as sock:
-        sock.sendall(encode(Cell(b"nope")))  # response opcode as a request
+        sock.sendall(encode(Cells((b"nope",))))  # response opcode as a request
         resp = sock.recv(1 << 16)
     msg = decode(resp)
     assert isinstance(msg, ErrorMsg) and msg.code == 1
