@@ -11,7 +11,8 @@ per-position value sequence for position mappings.
 Costs in the assignment attacks are kept exact.  With an integer exponent
 every cost is an integer; cumulative terms compare count ratios with
 different denominators by cross-multiplying instead of dividing, so no
-float rounding can flip an argmin.
+float rounding can flip an argmin.  Integer costs too large for the
+float64 solver to hold exactly raise :class:`AttackError`.
 """
 
 from __future__ import annotations
@@ -167,12 +168,23 @@ def _padded(c_hist: Histogram, m_hist: Histogram):
     return c_labels, c_counts, m_labels, m_counts
 
 
+#: float64 represents every integer up to this exactly
+_FLOAT_EXACT = 1 << 53
+
+
 def _assign(cost_rows) -> list[int]:
-    """Column index per row minimizing the total cost."""
-    matrix = np.asarray(cost_rows)
-    if matrix.dtype == object:  # ints too large for int64: scale down safely
-        matrix = np.asarray(cost_rows, dtype=np.float64)
-    _, cols = linear_sum_assignment(matrix)
+    """Column index per row minimizing the total cost.
+
+    The solver works in float64, so integer costs stay exact only while a
+    sum of n of them (n rows) fits in float64's exact integer range; larger
+    integer costs raise instead of being rounded.
+    """
+    largest = max((c for row in cost_rows for c in row if isinstance(c, int)), default=0)
+    if largest * len(cost_rows) > _FLOAT_EXACT:
+        raise AttackError(
+            f"integer cost {largest} over {len(cost_rows)} rows exceeds float64's exact range"
+        )
+    _, cols = linear_sum_assignment(np.asarray(cost_rows, dtype=np.float64))
     return list(cols)
 
 

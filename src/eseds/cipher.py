@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import secrets
-from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -63,26 +62,48 @@ class SecretKey:
         return f"SecretKey(<{len(self._bytes) * 8} bits, redacted>)"
 
 
-@dataclass(frozen=True)
 class Ciphertext:
-    """One encrypted cell: nonce, encrypted value body, authentication tag."""
+    """One encrypted cell: a read-only view over its serialized bytes,
+    nonce, encrypted value body and authentication tag in that order."""
 
-    nonce: bytes
-    body: bytes
-    tag: bytes
+    __slots__ = ("_raw",)
+
+    def __init__(self, raw: bytes):
+        if type(raw) is not bytes:
+            raw = bytes(raw)  # an immutable copy of a mutable buffer
+        if len(raw) != CELL_LEN:
+            raise CipherError(f"cell must be {CELL_LEN} bytes, got {len(raw)}")
+        self._raw = raw
+
+    @property
+    def nonce(self) -> bytes:
+        return self._raw[:NONCE_LEN]
+
+    @property
+    def body(self) -> bytes:
+        return self._raw[NONCE_LEN : NONCE_LEN + VALUE_LEN]
+
+    @property
+    def tag(self) -> bytes:
+        return self._raw[NONCE_LEN + VALUE_LEN :]
 
     def to_bytes(self) -> bytes:
-        return self.nonce + self.body + self.tag
+        return self._raw
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Ciphertext":
-        if len(raw) != CELL_LEN:
-            raise CipherError(f"cell must be {CELL_LEN} bytes, got {len(raw)}")
-        return cls(
-            nonce=raw[:NONCE_LEN],
-            body=raw[NONCE_LEN : NONCE_LEN + VALUE_LEN],
-            tag=raw[NONCE_LEN + VALUE_LEN :],
-        )
+        return cls(raw)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Ciphertext):
+            return NotImplemented
+        return self._raw == other._raw
+
+    def __hash__(self) -> int:
+        return hash(self._raw)
+
+    def __repr__(self) -> str:
+        return f"Ciphertext({self._raw.hex()})"
 
 
 def keygen(security_param: int = 256) -> SecretKey:
@@ -100,7 +121,7 @@ def encrypt(key: SecretKey, value: int, domain_size: int) -> Ciphertext:
         raise CipherError("domain too large for the cell encoding")
     nonce = secrets.token_bytes(NONCE_LEN)
     sealed = key._aead.encrypt(nonce, value.to_bytes(VALUE_LEN, "big"), None)
-    return Ciphertext(nonce=nonce, body=sealed[:-TAG_LEN], tag=sealed[-TAG_LEN:])
+    return Ciphertext(nonce + sealed)
 
 
 def decrypt(key: SecretKey, cell: bytes | Ciphertext) -> int:

@@ -13,9 +13,14 @@ by its last step, so reads between steps see the pre-pass order.
 from __future__ import annotations
 
 import io
+import os
 import random
+import secrets
+import stat
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 
 MAGIC = b"ESEDS\x00"
 VERSION = 1
@@ -30,6 +35,10 @@ MODE_FHOPE = 4
 DEFAULT_INDEX_BITS = 256
 
 _HEADER = struct.Struct("<HBHQ")  # version, mode, domain_bits, count
+_BLOB_LEN = struct.Struct("<I")
+
+#: records joined into one write by ``write_records``
+RECORDS_PER_WRITE = 4096
 
 
 class StoreError(Exception):
@@ -83,13 +92,21 @@ def read_header(src: io.BufferedIOBase) -> tuple[int, int, int]:
     return mode, domain_bits, count
 
 
-def write_blob(sink: io.BufferedIOBase, blob: bytes) -> None:
-    sink.write(struct.pack("<I", len(blob)))
-    sink.write(blob)
+def blob(data: bytes) -> bytes:
+    """``data`` framed as a blob: u32 length, then the bytes."""
+    return _BLOB_LEN.pack(len(data)) + data
+
+
+def write_records(sink: io.BufferedIOBase, records) -> None:
+    """Write already framed records, ``RECORDS_PER_WRITE`` of them joined per
+    write, so a save makes few writes and never holds the whole file."""
+    records = iter(records)
+    while chunk := b"".join(islice(records, RECORDS_PER_WRITE)):
+        sink.write(chunk)
 
 
 def read_blob(src: io.BufferedIOBase) -> bytes:
-    (n,) = struct.unpack("<I", read_exact(src, 4))
+    (n,) = _BLOB_LEN.unpack(read_exact(src, 4))
     return read_exact(src, n)
 
 
@@ -123,20 +140,31 @@ class _as_reader:
             self._owned.close()
 
 
-class _as_writer:
-    def __init__(self, sink):
-        self._sink = sink
-        self._owned = None
-
-    def __enter__(self):
-        if hasattr(self._sink, "write"):
-            return self._sink
-        self._owned = open(self._sink, "wb")
-        return self._owned
-
-    def __exit__(self, *exc):
-        if self._owned is not None:
-            self._owned.close()
+@contextmanager
+def _as_writer(sink):
+    """Accept a binary stream, written as it is, or a filesystem path, written
+    atomically: the file is written to a uniquely named temp file beside the
+    target, which is flushed, fsynced and renamed over the target with the
+    target's permission bits.  If writing fails the temp file is removed and
+    the target is left as it was."""
+    if hasattr(sink, "write"):
+        yield sink
+        return
+    target = os.path.realpath(sink)
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as out:
+            if os.path.exists(target):
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+            yield out
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +222,13 @@ class DenseStore:
         self._start = s
 
     def logical_cells(self) -> list[bytes]:
-        return [self.get_cell(j) for j in range(len(self._cells))]
+        return self._cells[self._start :] + self._cells[: self._start]
 
     def save(self, sink) -> None:
         with _as_writer(sink) as out:
             cells = self.logical_cells()
             write_header(out, self.mode, self.domain_bits, len(cells))
-            for cell in cells:
-                write_blob(out, cell)
+            write_records(out, map(blob, cells))
 
     @classmethod
     def _load_records(cls, src, count: int) -> "DenseStore":
@@ -378,9 +405,8 @@ class DecoupledStore:
         with _as_writer(sink) as out:
             write_header(out, self.mode, self.domain_bits, len(self._entries))
             width = self.domain_bits // 8
-            for e in self._entries:
-                out.write(e.sparse.to_bytes(width, "big"))
-                write_blob(out, e.cell)
+            records = (e.sparse.to_bytes(width, "big") + blob(e.cell) for e in self._entries)
+            write_records(out, records)
 
     @classmethod
     def _load_records(cls, src, domain_bits: int, count: int) -> "DecoupledStore":

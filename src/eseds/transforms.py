@@ -25,12 +25,13 @@ from .store import (
     ModeError,
     _as_reader,
     _as_writer,
+    blob,
     expect_eof,
     read_blob,
     read_exact,
     read_header,
-    write_blob,
     write_header,
+    write_records,
 )
 from . import store as store_mod
 
@@ -109,10 +110,13 @@ class _ChainTable:
     def save(self, sink) -> None:
         with _as_writer(sink) as out:
             write_header(out, self.mode, 0, len(self.slots))
-            for s in self.slots:
-                write_blob(out, s.kw_ct.to_bytes())
-                write_blob(out, s.id_ct.to_bytes())
-                out.write(_NEXT.pack(s.next))
+            write_records(
+                out,
+                (
+                    blob(s.kw_ct.to_bytes()) + blob(s.id_ct.to_bytes()) + _NEXT.pack(s.next)
+                    for s in self.slots
+                ),
+            )
 
     @classmethod
     def _load_records(cls, src, count: int):
@@ -189,8 +193,7 @@ class FhopeEseds:
     def save(self, sink) -> None:
         with _as_writer(sink) as out:
             write_header(out, self.mode, 0, len(self.cells))
-            for c in self.cells:
-                write_blob(out, c.to_bytes())
+            write_records(out, (blob(c.to_bytes()) for c in self.cells))
 
     @classmethod
     def _load_records(cls, src, count: int) -> "FhopeEseds":

@@ -9,6 +9,7 @@ assignment logic, so tests compare two independent routes to each answer.
 from __future__ import annotations
 
 import itertools
+import struct
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -110,6 +111,32 @@ def brute_assignment(
             best.append(perm)
     assert best_cost is not None
     return best_cost, best
+
+
+def reference_store_file(mode: int, records: list, index_bits: int = 0) -> bytes:
+    """A store file encoded field by field as docs/formats.md lays it out.
+
+    Records are cells for modes 0 and 4, (sparse index, cell) pairs for
+    mode 1 and (keyword cell, row-id cell, next) triples for modes 2 and 3.
+    """
+
+    def blob(data: bytes) -> bytes:
+        return struct.pack("<I", len(data)) + data
+
+    out = [b"ESEDS\x00", struct.pack("<H", 1), bytes([mode]), struct.pack("<H", index_bits)]
+    out.append(struct.pack("<Q", len(records)))
+    for record in records:
+        if mode in (0, 4):
+            out.append(blob(record))
+        elif mode == 1:
+            sparse, cell = record
+            out.append(sparse.to_bytes(index_bits // 8, "big") + blob(cell))
+        elif mode in (2, 3):
+            kw, rid, nxt = record
+            out += [blob(kw), blob(rid), struct.pack("<q", nxt)]
+        else:
+            raise ValueError(f"no record layout for mode {mode}")
+    return b"".join(out)
 
 
 def chi_square_uniform_p(observed: list[int]) -> float:

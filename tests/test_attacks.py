@@ -16,6 +16,7 @@ from eseds.attacks import (
     lp_optimization,
     score,
     sorting_attack,
+    _assign,
 )
 from eseds.core import Domain
 from eseds.transforms import build_det, build_ope
@@ -177,6 +178,28 @@ def test_lp_pads_unequal_sizes():
     assert lp_optimization(c_hist, m_hist).as_dict() == {"a": 7, "b": None}
     with pytest.raises(AttackError):
         lp_optimization(c_hist, m_hist, p=0)
+
+
+def test_lp_refuses_costs_it_cannot_hold_exactly():
+    c_hist = Histogram(("a", "b"), (1 << 32, 0))
+    m_hist = Histogram((0, 1), (0, 1 << 32))
+    with pytest.raises(AttackError, match="exact range"):  # costs of 2^64
+        lp_optimization(c_hist, m_hist, p=2)
+    with pytest.raises(AttackError, match="exact range"):
+        cumulative_attack(c_hist, Cdf.from_histogram(c_hist), m_hist, Cdf.from_histogram(m_hist), p=2)
+    # 2^25 squared is 2^50: two rows of it stay exact, and the match is right
+    c_hist = Histogram(("a", "b"), (1 << 25, 0))
+    m_hist = Histogram((0, 1), (0, 1 << 25))
+    assert lp_optimization(c_hist, m_hist, p=2).as_dict() == {"a": 1, "b": 0}
+
+
+def test_assign_refuses_costs_that_float64_would_round():
+    # exact costs pick the swap (2^54 + 1 < 2^54 + 2); rounded to float64
+    # they would pick the diagonal (2^54 < 2^54 + 2)
+    rows = [[(1 << 53) + 1, (1 << 53) + 3], [(1 << 53) - 2, (1 << 53) + 1]]
+    with pytest.raises(AttackError):
+        _assign(rows)
+    assert _assign([[3, 1], [1, 3]]) == [1, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 from eseds.cipher import (
     CELL_LEN,
     NONCE_LEN,
+    TAG_LEN,
+    VALUE_LEN,
     CipherError,
     Ciphertext,
     IntegrityError,
@@ -90,6 +92,39 @@ def test_cell_bytes_round_trip_and_length():
     assert Ciphertext.from_bytes(raw) == cell
     with pytest.raises(CipherError):
         Ciphertext.from_bytes(raw[:-1])
+
+
+def test_ciphertext_is_a_view_over_the_cell_bytes():
+    key = keygen()
+    cell = encrypt(key, 5, 16)
+    raw = cell.to_bytes()
+    assert type(raw) is bytes
+    assert cell.nonce + cell.body + cell.tag == raw
+    assert (len(cell.nonce), len(cell.body), len(cell.tag)) == (NONCE_LEN, VALUE_LEN, TAG_LEN)
+    twin = Ciphertext.from_bytes(bytes(raw))
+    assert twin == cell and hash(twin) == hash(cell)
+    assert len({cell, twin}) == 1
+    assert cell != encrypt(key, 5, 16)
+    assert cell != raw  # a view is not its bytes
+    with pytest.raises(AttributeError):
+        cell.nonce = bytes(NONCE_LEN)
+
+
+def test_ciphertext_from_mutable_buffer_is_a_copy():
+    raw = encrypt(keygen(), 6, 16).to_bytes()
+    buf = bytearray(raw)
+    cell = Ciphertext.from_bytes(buf)
+    buf[:] = bytes(CELL_LEN)
+    assert cell.to_bytes() == raw
+    assert type(cell.to_bytes()) is bytes
+    assert Ciphertext.from_bytes(memoryview(raw)) == cell
+
+
+def test_ciphertext_rejects_wrong_lengths():
+    raw = encrypt(keygen(), 6, 16).to_bytes()
+    for bad in (b"", raw[:-1], raw + b"\x00", bytearray(CELL_LEN + 1)):
+        with pytest.raises(CipherError):
+            Ciphertext.from_bytes(bad)
 
 
 def test_ciphertext_length_constant_over_domain():

@@ -2,14 +2,23 @@
 rebalancing, and the on-disk format."""
 
 import io
+import itertools
+import os
 import random
+import stat
 
 import pytest
 
+import eseds.store as store_mod
+from eseds.core import CoinSource
 from eseds.store import (
     MAGIC,
     MODE_DECOUPLED,
     MODE_DENSE,
+    MODE_DET,
+    MODE_FHOPE,
+    MODE_OPE,
+    RECORDS_PER_WRITE,
     DecoupledStore,
     DenseStore,
     FormatError,
@@ -23,7 +32,9 @@ from eseds.store import (
     save,
 )
 
-from helpers import chi_square_uniform_p
+from eseds.transforms import build_det, build_fhope, build_ope
+
+from helpers import chi_square_uniform_p, reference_store_file
 
 
 class FixedCoins:
@@ -379,3 +390,94 @@ def test_decoupled_load_rejects_non_increasing(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError):
         load(path)
+
+
+def _varied_cells(rng, count):
+    """Cells of 0 to 40 bytes, so the blob length prefixes differ."""
+    return [rng.randbytes(rng.randrange(41)) for _ in range(count)]
+
+
+def _dense_file_case(key, rng):
+    # more records than one write holds, and a nonzero start offset to undo
+    st = DenseStore(_varied_cells(rng, 2 * RECORDS_PER_WRITE + 3), rng=random.Random(4))
+    for cell in _varied_cells(rng, 3):
+        st.insert_at(rng.randrange(len(st) + 1), cell)
+    assert st._start != 0
+    return st, reference_store_file(MODE_DENSE, [st.get_cell(j) for j in range(len(st))])
+
+
+def _decoupled_file_case(key, rng):
+    st = DecoupledStore(rng=random.Random(5))
+    st.insert_between(None, None, b"first")
+    for cell in _varied_cells(rng, RECORDS_PER_WRITE + 10):
+        j = rng.randrange(len(st) + 1)
+        st.insert_between(j - 1 if j else None, j if j < len(st) else None, cell)
+    records = list(zip(st.sparse_indices(), [st.get_cell(j) for j in range(len(st))]))
+    return st, reference_store_file(MODE_DECOUPLED, records, index_bits=st.domain_bits)
+
+
+def _chain_file_case(builder, mode):
+    def case(key, rng):
+        table = builder(key, [rng.randrange(64) for _ in range(RECORDS_PER_WRITE + 10)], 64)
+        records = [(s.kw_ct.to_bytes(), s.id_ct.to_bytes(), s.next) for s in table.slots]
+        return table, reference_store_file(mode, records)
+
+    return case
+
+
+def _fhope_file_case(key, rng):
+    table = build_fhope(key, [rng.randrange(64) for _ in range(500)], 64, coins=CoinSource(3))
+    return table, reference_store_file(MODE_FHOPE, [c.to_bytes() for c in table.cells])
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _dense_file_case,
+        _decoupled_file_case,
+        _chain_file_case(build_det, MODE_DET),
+        _chain_file_case(build_ope, MODE_OPE),
+        _fhope_file_case,
+    ],
+    ids=["dense", "decoupled", "det", "ope", "fhope"],
+)
+def test_saved_file_matches_reference_encoder(tmp_path, key, case):
+    target, want = case(key, random.Random(17))
+    path = tmp_path / "t.store"
+    target.save(path)
+    assert path.read_bytes() == want
+    buf = io.BytesIO()
+    target.save(buf)
+    assert buf.getvalue() == want
+
+
+def test_failed_save_leaves_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "d.store"
+    old = DenseStore(cells(1, 2, 3))
+    save(old, path)
+    before = path.read_bytes()
+    write_records = store_mod.write_records
+
+    def fail_midway(sink, records):
+        write_records(sink, itertools.islice(records, 2))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(store_mod, "write_records", fail_midway)
+    with pytest.raises(OSError, match="disk full"):
+        save(DenseStore(cells(4, 5, 6, 7)), path)
+    assert path.read_bytes() == before
+    assert load(path) == old
+    assert os.listdir(tmp_path) == ["d.store"]
+
+
+def test_save_keeps_permission_bits_and_symlinks(tmp_path):
+    path = tmp_path / "d.store"
+    save(DenseStore(cells(1)), path)
+    os.chmod(path, 0o640)
+    link = tmp_path / "link.store"
+    link.symlink_to(path)
+    save(DenseStore(cells(2)), link)
+    assert link.is_symlink()
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+    assert load(path) == DenseStore(cells(2))
+    assert sorted(os.listdir(tmp_path)) == ["d.store", "link.store"]
