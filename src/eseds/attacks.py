@@ -20,9 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
 
 class AttackError(Exception):
     """Attack preconditions not met (wrong shapes, inapplicable target)."""
@@ -179,6 +176,10 @@ def _assign(cost_rows) -> list[int]:
     sum of n of them (n rows) fits in float64's exact integer range; larger
     integer costs raise instead of being rounded.
     """
+    # imported here so that importing the package (and the CLI) stays cheap
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
     largest = max((c for row in cost_rows for c in row if isinstance(c, int)), default=0)
     if largest * len(cost_rows) > _FLOAT_EXACT:
         raise AttackError(

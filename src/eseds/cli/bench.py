@@ -18,8 +18,6 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from scipy import stats as scipy_stats
-
 from ..cipher import SecretKey, encrypt, keygen
 from ..core import Domain, RangeQuery, read_values, search_range, top_k
 from ..store import DenseStore
@@ -84,6 +82,8 @@ def bulk_store(key: SecretKey, values: list[int], dom: Domain, rng: random.Rando
 
 
 def _mean_ci(samples: list[float]) -> tuple[float, float]:
+    from scipy import stats as scipy_stats  # here, so that importing the CLI stays cheap
+
     mean = statistics.fmean(samples)
     if len(samples) < 2:
         return mean, 0.0

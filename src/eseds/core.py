@@ -4,8 +4,9 @@ The server holds an array of opaque cells whose decryptions are always a
 cyclic rotation of the sorted multiset of inserted values.  The client keeps
 no state between operations; every operation rediscovers what it needs by
 fetching cells and decrypting them locally.  Binary-search probes and the
-scan fallbacks read one cell per request; top-k and the read-back of a
-search result read each run of consecutive cells with one GET_RANGE.
+search and insert scan fallbacks read one cell per request; top-k and the
+read-back of a search result read each run of consecutive cells with one
+GET_RANGE.
 
 All order comparisons happen in the frame of r = Dec(C[0]): the map
 f(x) = (x - r) mod N straightens the rotation out, because the cell array
@@ -14,10 +15,15 @@ C[0] does not wrap past the end of the array.  When it does wrap (C[0] and
 C[n-1] decrypt equal), the cells holding r itself sort to the wrong end;
 if C[1] != r the run contributes exactly one leading cell and the window
 1..n-1 is still sorted under the patched key K(x) = N for x = r, f(x)
-otherwise.  Deeper wraps (C[1] = r too) leave no usable order at all, so
-those operations fall back to scanning every cell; the fallback preserves
-correctness, and the logarithmic round-trip bounds hold on stores where the
-boundary run is short (always true for distinct values).
+otherwise.  Deeper wraps (C[1] = r too) leave no order that probes of
+single cells can use.  Searches and inserts then scan every cell.  Finding
+the rotation start (top-k and the find_* lookups) reads every cell too, but
+in ranged runs of READ_RUN cells, and decrypts only O(log n) of them
+locally: any cell x that does not hold r ends the leading run of r-cells,
+so bisection finds the first non-r index s, and the window s..n-1 is sorted
+under K.  The fallbacks preserve correctness; the logarithmic round-trip
+bounds hold on stores where the boundary run is short (always true for
+distinct values).
 """
 
 from __future__ import annotations
@@ -98,26 +104,47 @@ def in_cyclic_range(v: int, a: int, b: int, dom: Domain) -> bool:
     return (v - a) % dom.size <= (b - a) % dom.size
 
 
+#: cells per GET_RANGE when an operation reads the whole store; the runs
+#: bound the size of each frame and of each decoded batch of cells
+READ_RUN = 4096
+
+
 class _OpView:
     """Per-operation cell reader.  ``value`` caches each probed index, so a
     distinct index costs one one-cell GET_RANGE; ``values`` reads a run of
-    cells with one GET_RANGE per frame and caches nothing."""
+    cells with one GET_RANGE per frame and caches nothing.  After
+    ``read_all`` the view is local: it holds every cell's bytes, and both
+    decrypt from them on demand without sending a request."""
 
     def __init__(self, key: SecretKey, session, dom: Domain):
         self._key = key
         self._session = session
         self._dom = dom
         self._values: dict[int, int] = {}
+        self._cells: list[bytes] | None = None
+
+    def read_all(self, n: int) -> None:
+        """Fetch all ``n`` cells in index order, READ_RUN cells per GET_RANGE."""
+        cells: list[bytes] = []
+        for start in range(0, n, READ_RUN):
+            cells += self._session.get_range(start, min(READ_RUN, n - start), n, CELL_LEN)
+        if len(cells) != n:
+            raise ProtocolError(f"read {len(cells)} cells from a store of {n}")
+        self._cells = cells
 
     def value(self, j: int) -> int:
         if j not in self._values:
-            self._values[j] = self._decrypt(j, self._session.get_cell(j))
+            cell = self._session.get_cell(j) if self._cells is None else self._cells[j]
+            self._values[j] = self._decrypt(j, cell)
         return self._values[j]
 
     def values(self, start: int, count: int, n: int) -> list[int]:
         """Values of ``count`` cells read cyclically from ``start`` of an
         ``n``-cell store."""
-        cells = self._session.get_range(start, count, n, CELL_LEN)
+        if self._cells is None:
+            cells = self._session.get_range(start, count, n, CELL_LEN)
+        else:
+            cells = [self._cells[(start + i) % n] for i in range(count)]
         return [self._decrypt((start + i) % n, cell) for i, cell in enumerate(cells)]
 
     def _decrypt(self, j: int, cell: bytes) -> int:
@@ -176,6 +203,21 @@ def _scan_rotation(view: _OpView, n: int) -> int:
     return 0 if len(starts) == n else starts[0]
 
 
+def _off_run(view: _OpView, n: int, r: int) -> int | None:
+    """An index whose cell does not hold r, when C[0] = C[1] = C[n-1] = r,
+    galloping from both ends: probes 2, 4, 8, ... and n-2, n-3, n-5, n-9, ...
+    The non-r cells form one block strictly inside the array, and one of
+    the probes lands in it whenever r holds less than about 2/3 of the
+    cells; None when none does."""
+    d = 1
+    while d < n:
+        for x in (d, n - 1 - d):
+            if 1 < x < n - 1 and view.value(x) != r:
+                return x
+        d *= 2
+    return None
+
+
 def _rotation(view: _OpView, n: int, dom: Domain) -> int:
     """Index of the first cell in sorted reading order."""
     if n == 1:
@@ -186,10 +228,19 @@ def _rotation(view: _OpView, n: int, dom: Domain) -> int:
         f = lambda j: (view.value(j) - r) % N
         idx = _first_at_least(f, 0, n, (N - r) % N)
         return 0 if idx == n else idx
-    if n > 2 and view.value(1) != r:
-        K = lambda j: N if view.value(j) == r else (view.value(j) - r) % N
-        return _first_at_least(K, 1, n, N if r == 0 else N - r)
-    return _scan_rotation(view, n)
+    if n == 2:
+        return 0  # both cells hold r
+    if view.value(1) != r:
+        lo = 1
+    else:  # deep wrap: C[0] = C[1] = C[n-1] = r; read every cell, decrypt few
+        view.read_all(n)
+        x = _off_run(view, n, r)
+        if x is None:
+            return _scan_rotation(view, n)
+        lo = _first_at_least(lambda j: view.value(j) != r, 2, x, True)
+    # cells lo..n-1 are the non-r block followed by the trailing r-cells
+    K = lambda j: N if view.value(j) == r else (view.value(j) - r) % N
+    return _first_at_least(K, lo, n, N if r == 0 else N - r)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +434,8 @@ def find_rotation(key: SecretKey, session, dom: Domain) -> int:
 
 def top_k(key: SecretKey, session, k: int, dom: Domain, rotation: int | None = None) -> list[int]:
     """The k smallest stored values, ascending: the rotation start (cached
-    across calls if the caller supplies it) plus one range read of k cells."""
+    across calls if the caller supplies it) plus one range read of k cells,
+    or, when finding the start read the whole store, its k cells from there."""
     n = session.length()
     if not 1 <= k <= n:
         raise ProtocolError(f"k must be in [1, {n}], got {k}")

@@ -433,12 +433,17 @@ class DecoupledStore:
 def load(source):
     """Load a dense or decoupled store from a path or binary stream."""
     with _as_reader(source) as src:
-        mode, domain_bits, count = read_header(src)
-        if mode == MODE_DENSE:
-            return DenseStore._load_records(src, count)
-        if mode == MODE_DECOUPLED:
-            return DecoupledStore._load_records(src, domain_bits, count)
-        raise ModeError(f"mode {mode} is a legacy transform file, not a cell store")
+        return load_records(src, *read_header(src))
+
+
+def load_records(src, mode: int, domain_bits: int, count: int):
+    """The dense or decoupled store whose records follow a header already
+    read from ``src``; the one parser of cell-store records."""
+    if mode == MODE_DENSE:
+        return DenseStore._load_records(src, count)
+    if mode == MODE_DECOUPLED:
+        return DecoupledStore._load_records(src, domain_bits, count)
+    raise ModeError(f"mode {mode} is a legacy transform file, not a cell store")
 
 
 def save(store, sink) -> None:

@@ -318,10 +318,8 @@ def load_any(source):
     """Load any store-family file: cell stores and legacy transform tables."""
     with _as_reader(source) as src:
         mode, domain_bits, count = read_header(src)
-        if mode == MODE_DENSE:
-            return store_mod.DenseStore._load_records(src, count)
-        if mode == MODE_DECOUPLED:
-            return store_mod.DecoupledStore._load_records(src, domain_bits, count)
+        if mode in (MODE_DENSE, MODE_DECOUPLED):
+            return store_mod.load_records(src, mode, domain_bits, count)
         if mode in (MODE_DET, MODE_OPE):
             cls = DetEseds if mode == MODE_DET else OpeEseds
             return cls._load_records(src, count)

@@ -461,6 +461,7 @@ class TcpSession(_SessionBase):
         host = host if host is not None else os.environ.get("ESEDS_ADDR", "127.0.0.1")
         port = port if port is not None else int(os.environ.get("ESEDS_PORT", DEFAULT_PORT))
         self._sock = socket.create_connection((host, port))
+        _no_delay(self._sock)
         self.stats = SessionStats()
 
     def close(self) -> None:
@@ -545,6 +546,12 @@ def _recv_exact_or_none(sock: socket.socket, n: int) -> bytes | None:
     return b"".join(chunks)
 
 
+def _no_delay(sock: socket.socket) -> None:
+    """Send each frame at once: Nagle's algorithm would hold a small frame
+    back until the peer acknowledges the previous one."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 class EsedsTcpServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
@@ -552,6 +559,11 @@ class EsedsTcpServer(socketserver.ThreadingTCPServer):
     def __init__(self, addr, store_server: StoreServer):
         super().__init__(addr, _ConnectionHandler)
         self.store_server = store_server
+
+    def get_request(self):
+        sock, addr = super().get_request()
+        _no_delay(sock)
+        return sock, addr
 
 
 def serve(store, host: str = "127.0.0.1", port: int = DEFAULT_PORT, *, save_path=None) -> EsedsTcpServer:

@@ -1,9 +1,13 @@
 """End-to-end command line runs, in-process via main()."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eseds
 from eseds.cli import main
 
 
@@ -22,6 +26,16 @@ def init(capsys, store, *extra):
     code, out, err = run(capsys, "init", "--store", store, *extra)
     assert code == 0, err
     return out
+
+
+def test_importing_the_cli_loads_no_lab_dependencies():
+    # every command pays for what the CLI imports at load; numpy and scipy
+    # serve only the attack and bench commands
+    src = str(Path(eseds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import eseds.cli, sys; print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from eseds import transport
+from eseds import core, transport
 from eseds.cipher import encrypt, keygen
 from eseds.core import (
     CoinSource,
@@ -378,6 +378,58 @@ def test_top_k_splits_a_read_larger_than_one_frame(key, monkeypatch):
     starts = [(10 + 3 * i) % 30 for i in range(9)]
     assert sent[-9:] == [GetRange(s, 3) for s in starts[:8]] + [GetRange(starts[8], 1)]
     assert session.stats.cells_fetched == (len(sent) - 10) + 25  # probes + the k cells
+
+
+def test_find_rotation_and_top_k_match_oracle_on_every_rotation(key):
+    # every rotation, so the boundary run wraps at every depth; the cases
+    # cover all-equal stores, one value holding more than 2/3 of the cells
+    # (where galloping may find no other cell) and n = 1, 2 and 3
+    rng = random.Random(29)
+    cases = [[4], [2, 2], [1, 2], [5, 5, 5], [1, 1, 2], [0, 3, 3], [3] * 9,
+             [1] + [6] * 20 + [7], [0, 0] + [5] * 30]
+    for _ in range(120):
+        size = rng.randrange(1, 9)
+        weights = [rng.random() ** 3 for _ in range(size)]
+        cases.append(sorted(rng.choices(range(size), weights, k=rng.randrange(1, 40))))
+    for ordered in cases:
+        dom = Domain(max(ordered) + 1)
+        cells = [encrypt(key, v, dom.size).to_bytes() for v in ordered]
+        n = len(ordered)
+        for w in range(n):
+            values = ordered[w:] + ordered[:w]
+            session = LocalSession(DenseStore(cells[w:] + cells[:w]))
+            starts = rotation_starts(values)
+            assert find_rotation(key, session, dom) == (0 if len(starts) == n else starts[0]), values
+            k = 1 + w % n
+            assert top_k(key, session, k, dom) == ordered[:k], values
+
+
+def test_deep_wrapped_top_k_reads_every_cell_in_ranged_runs(key):
+    dom = Domain(64)
+    rng = random.Random(44)
+    ordered = sorted(rng.choices(range(dom.size), [1 / (v + 1) for v in range(dom.size)], k=10_000))
+    n = len(ordered)
+    w = n - ordered.count(0) // 2  # index 0 lands mid-run of 0s: C[0] = C[1] = C[n-1] = 0
+    cells = [encrypt(key, v, dom.size).to_bytes() for v in ordered]
+    log = []
+    session = LocalSession(DenseStore(cells[-w:] + cells[:-w]), wire_log=log)
+    assert top_k(key, session, 10, dom) == ordered[:10]
+    sent = _requests(log)
+    assert len(sent) <= 4 + -(-n // core.READ_RUN)
+    read = {(msg.start + i) % n for msg in sent[1:] for i in range(msg.count)}
+    assert read == set(range(n))  # the index set of a one-cell scan
+    assert GetRange(w, 10) not in sent
+    assert session.stats.cells_fetched == n + 3  # the three probes read again
+
+
+def test_deep_wrap_rejects_a_short_range_read(key):
+    class ShortReads(LocalSession):
+        def get_range(self, start, count, n, cell_len):
+            return super().get_range(start, count, n, cell_len)[:-1]
+
+    session = ShortReads(direct_store(key, [3, 3, 5, 1, 3], D8))
+    with pytest.raises(ProtocolError):
+        top_k(key, session, 2, D8)
 
 
 def test_rotation_starts_matches_brute_force():

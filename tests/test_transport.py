@@ -323,6 +323,18 @@ def test_tcp_rejects_garbage_bytes(tcp_server):
     assert isinstance(decode(resp), ErrorMsg)
 
 
+def test_tcp_sockets_send_without_delay():
+    server = serve(DenseStore(), port=0)  # not serving: accept by hand below
+    try:
+        with TcpSession(*server.server_address) as session:
+            conn, _ = server.get_request()
+            with conn:
+                for sock in (session._sock, conn):
+                    assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    finally:
+        server.server_close()
+
+
 def test_tcp_session_env_defaults(tcp_server, monkeypatch):
     server, _ = tcp_server
     host, port = server.server_address
