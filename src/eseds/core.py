@@ -32,7 +32,6 @@ import random
 from dataclasses import dataclass
 
 from .cipher import CELL_LEN, SecretKey, decrypt, encrypt
-from .store import MODE_DECOUPLED, MODE_DENSE
 
 
 class ProtocolError(Exception):
@@ -256,28 +255,29 @@ def insert(key: SecretKey, session, m: int, dom: Domain, coins: CoinSource | Non
     equals m so ties are broken at every level.  A probe at index >= 1 that
     decrypts to r means the boundary run wraps and the frame order is not
     trustworthy; the protocol then falls back to scanning all cells and
-    picking uniformly among the order-preserving slots.  The server applies
-    a fresh uniform rotation after placing the cell (dense mode).
+    picking uniformly among the order-preserving slots.  The one INSERT_AT
+    request names the slot; how the store lays the cell out (a dense array
+    re-rotated by the server, or a sparse index between its neighbours) is
+    the server's business.
     """
     _check_plaintext(m, dom, "plaintext")
     if coins is None:
         coins = CoinSource()
-    n, mode = session.length_and_mode()
+    n = session.length()
     cell = encrypt(key, m, dom.size).to_bytes()
     if n == 0:
-        _send_insert(session, mode, 0, 0, cell)
+        session.insert_at(0, cell)
         return 1
     view = _OpView(key, session, dom)
     N = dom.size
     r = view.value(0)
     fm = (m - r) % N
-    slot = None
     lo, hi = 0, n
     while lo < hi:
         mid = (lo + hi) // 2
         v = view.value(mid)
         if mid >= 1 and v == r:
-            slot = _scan_slot(view, n, m, coins)
+            lo = _scan_slot(view, n, m, coins)
             break
         if v == m:
             if coins.bit():
@@ -288,21 +288,8 @@ def insert(key: SecretKey, session, m: int, dom: Domain, coins: CoinSource | Non
             lo = mid + 1
         else:
             hi = mid
-    if slot is None:
-        slot = lo
-    _send_insert(session, mode, slot, n, cell)
+    session.insert_at(lo, cell)
     return n + 1
-
-
-def _send_insert(session, mode: int, slot: int, n: int, cell: bytes) -> None:
-    if mode == MODE_DENSE:
-        session.insert_at(slot, cell)
-    elif mode == MODE_DECOUPLED:
-        j_left = slot - 1 if slot >= 1 else None
-        j_right = slot if slot < n else None
-        session.insert_between(j_left, j_right, cell)
-    else:
-        raise ProtocolError(f"store mode {mode} does not accept protocol inserts")
 
 
 def _scan_slot(view: _OpView, n: int, m: int, coins: CoinSource) -> int:
@@ -310,12 +297,8 @@ def _scan_slot(view: _OpView, n: int, m: int, coins: CoinSource) -> int:
     among the cyclic positions that keep the array a rotation of sorted."""
     from bisect import bisect_left, bisect_right
 
-    values = [view.value(j) for j in range(n)]
-    ds = sorted(values)
-    starts = _rotation_starts(values)
-    if not starts:
-        raise ProtocolError("cells are not a rotation of a sorted multiset")
-    w = 0 if len(starts) == n else starts[0]
+    w = _scan_rotation(view, n)
+    ds = sorted(view.value(j) for j in range(n))
     slots = sorted({(w + t) % n for t in range(bisect_left(ds, m), bisect_right(ds, m) + 1)})
     return slots[coins.randrange(len(slots))]
 
@@ -432,18 +415,17 @@ def find_rotation(key: SecretKey, session, dom: Domain) -> int:
     return _rotation(view, n, dom)
 
 
-def top_k(key: SecretKey, session, k: int, dom: Domain, rotation: int | None = None) -> list[int]:
-    """The k smallest stored values, ascending: the rotation start (cached
-    across calls if the caller supplies it) plus one range read of k cells,
-    or, when finding the start read the whole store, its k cells from there."""
+def top_k(key: SecretKey, session, k: int, dom: Domain) -> list[int]:
+    """The k smallest stored values, ascending: the rotation start plus one
+    range read of k cells, or, when finding the start read the whole store,
+    its k cells from there."""
     n = session.length()
     if not 1 <= k <= n:
         raise ProtocolError(f"k must be in [1, {n}], got {k}")
     view = _OpView(key, session, dom)
-    w = rotation if rotation is not None else _rotation(view, n, dom)
-    out = view.values(w, k, n)
+    out = view.values(_rotation(view, n, dom), k, n)
     if any(x > y for x, y in zip(out, out[1:])):
-        raise ProtocolError("reads out of order: stale rotation index?")
+        raise ProtocolError("cells are not a rotation of a sorted multiset")
     return out
 
 

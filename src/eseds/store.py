@@ -2,9 +2,11 @@
 
 The server never interprets cell contents.  Cells are opaque byte strings
 handed over by the client; the only structure the server maintains is their
-order (dense mode: an array with shift-insert plus a fresh random rotation
-per insert; decoupled mode: an ordered map from sparse indices to cells with
-midpoint insertion and a background rebalancer).
+order.  Both stores take the same insert, ``insert_at(l, cell)`` at logical
+slot ``0 <= l <= n``, and lay the cells out their own way (dense mode: an
+array with shift-insert plus a fresh random rotation per insert; decoupled
+mode: an ordered map from sparse indices to cells with midpoint insertion
+and a background rebalancer).
 
 A decoupled rebalance pass is built beside the live entries and swapped in
 by its last step, so reads between steps see the pre-pass order.
@@ -51,10 +53,6 @@ class OutOfRange(StoreError):
 
 class ModeError(StoreError):
     """Operation invoked on a store of the wrong mode."""
-
-
-class MidpointCollision(StoreError):
-    """No free sparse index strictly between the two neighbors."""
 
 
 class StoreFull(StoreError):
@@ -113,13 +111,6 @@ def read_blob(src: io.BufferedIOBase) -> bytes:
 def expect_eof(src: io.BufferedIOBase) -> None:
     if src.read(1):
         raise FormatError("trailing bytes after store records")
-
-
-def peek_mode(source) -> int:
-    """Mode byte of a store file, without loading the records."""
-    with _as_reader(source) as src:
-        mode, _, _ = read_header(src)
-        return mode
 
 
 class _as_reader:
@@ -206,7 +197,7 @@ class DenseStore:
         end = p + count
         return cells[p:end] if end <= n else cells[p:] + cells[: end - n]
 
-    def insert_at(self, l: int, cell: bytes, rotation_coins=None) -> None:
+    def insert_at(self, l: int, cell: bytes) -> None:
         """Insert at logical slot l (0 <= l <= n), then rotate by a fresh
         uniform offset drawn from the server's randomness."""
         n = len(self._cells)
@@ -214,8 +205,7 @@ class DenseStore:
             raise OutOfRange(f"slot {l} out of range for {n} cells")
         logical = [self.get_cell(j) for j in range(n)]
         logical.insert(l, bytes(cell))
-        coins = rotation_coins if rotation_coins is not None else self._rng
-        s = coins.randrange(n + 1)
+        s = self._rng.randrange(n + 1)
         # logical cell j of the rotated array is logical[(j + s) % (n + 1)];
         # storing the post-insert array with start offset s realizes exactly that
         self._cells = logical
@@ -303,55 +293,36 @@ class DecoupledStore:
     def logical_cells(self) -> list[bytes]:
         return [e.cell for e in self._entries]
 
-    def _bounds(self, j_left: int | None, j_right: int | None) -> tuple[int, int]:
-        n = len(self._entries)
-        if j_left is None and j_right is None:
-            if n:
-                raise OutOfRange("both ends open on a non-empty store")
-        elif j_left is None:
-            if j_right != 0:
-                raise OutOfRange("left sentinel requires right rank 0")
-        elif j_right is None:
-            if j_left != n - 1:
-                raise OutOfRange(f"right sentinel requires left rank {n - 1}")
-        elif j_right != j_left + 1:
-            raise OutOfRange(f"ranks {j_left},{j_right} are not adjacent")
-        if j_left is not None and not 0 <= j_left < n:
-            raise OutOfRange(f"rank {j_left} out of range")
-        if j_right is not None and not 0 <= j_right < n:
-            raise OutOfRange(f"rank {j_right} out of range")
-        lo = 0 if j_left is None else self._entries[j_left].sparse
-        hi = self.index_space if j_right is None else self._entries[j_right].sparse
+    def _gap(self, l: int) -> tuple[int, int]:
+        """Sparse indices of ranks l-1 and l, with the ends of the index
+        space standing in past the ends of the store."""
+        entries = self._entries
+        lo = entries[l - 1].sparse if l else 0
+        hi = entries[l].sparse if l < len(entries) else self.index_space
         return lo, hi
 
-    def insert_between(
-        self, j_left: int | None, j_right: int | None, cell: bytes, *, auto_rebalance: bool = True
-    ) -> int:
-        """Store the cell at the midpoint sparse index between two adjacent
-        ranks (None = virtual bound of the index space).  Returns the sparse
-        index used.  With auto_rebalance the gap<=1 collision is recovered by
-        a synchronous local rebalance and a single retry."""
-        lo, hi = self._bounds(j_left, j_right)
+    def insert_at(self, l: int, cell: bytes) -> None:
+        """Store the cell at rank l (0 <= l <= n), at the midpoint sparse
+        index between ranks l-1 and l.  A gap of <= 1 is recovered by a
+        synchronous local rebalance and a single retry."""
+        n = len(self._entries)
+        if not 0 <= l <= n:
+            raise OutOfRange(f"slot {l} out of range for {n} cells")
+        lo, hi = self._gap(l)
         if hi - lo <= 1:
-            if not auto_rebalance:
-                raise MidpointCollision(f"no free index between {lo} and {hi}")
             self.collisions += 1
-            self._local_rebalance(j_left, j_right)
-            lo, hi = self._bounds(j_left, j_right)
+            self._local_rebalance(l)
+            lo, hi = self._gap(l)
             if hi - lo <= 1:
                 raise StoreFull("sparse index space exhausted")
-        sparse = (hi - lo) // 2 + lo
-        rank = j_right if j_right is not None else len(self._entries)
-        self._entries.insert(rank, _Entry(sparse, bytes(cell)))
+        self._entries.insert(l, _Entry((hi - lo) // 2 + lo, bytes(cell)))
         self._pass = None  # a pass in progress restarts from the new order
-        return sparse
 
-    def _local_rebalance(self, j_left: int | None, j_right: int | None) -> None:
-        """Re-space the smallest window of ranks enclosing the collision so
-        every gap inside it is >= 2, growing the window until there is slack."""
+    def _local_rebalance(self, l: int) -> None:
+        """Re-space the smallest window of ranks around slot l so every gap
+        inside it is >= 2, growing the window until there is slack."""
         n = len(self._entries)
-        wl = j_left if j_left is not None else 0
-        wr = j_right if j_right is not None else n - 1
+        wl, wr = max(0, l - 1), min(l, n - 1)
         while True:
             lo = 0 if wl == 0 else self._entries[wl - 1].sparse
             hi = self.index_space if wr == n - 1 else self._entries[wr + 1].sparse

@@ -2,11 +2,11 @@
 
 Frame layout: u32 big-endian length ‖ u8 opcode ‖ payload, where the length
 covers opcode + payload.  All integers on the wire are big-endian.  Cells are
-opaque length-prefixed byte strings; sparse indices travel as 32-byte
-big-endian regardless of the store's configured index width.  No frame may
-exceed 16 MiB: the server refuses a GET_RANGE whose answer would, and the
-client splits larger reads.  Key material has no encoding in this protocol
-at all.
+opaque length-prefixed byte strings.  The store's layout (dense or
+decoupled) stays on the server: every request means the same on both.  No
+frame may exceed 16 MiB: the server refuses a GET_RANGE whose answer would,
+and the client splits larger reads.  Key material has no encoding in this
+protocol at all.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ DEFAULT_PORT = 7487
 
 # request opcodes
 GET_RANGE = 0x01
-INSERT_AT = 0x02
-INSERT_BETWEEN = 0x03
+INSERT_AT = 0x02  # 0x03 (a retired insert) must not be reused
 LENGTH = 0x04
 REBALANCE_HINT = 0x05
 SAVE = 0x06
@@ -35,11 +34,6 @@ ERROR = 0x20
 CELLS = 0x21
 OK = 0x22
 LEN = 0x23
-
-#: u64 sentinel standing in for an open end in INSERT_BETWEEN
-NONE_RANK = (1 << 64) - 1
-
-SPARSE_WIRE_LEN = 32
 
 # error codes carried by ERROR frames
 E_BAD_REQUEST = 1
@@ -98,13 +92,6 @@ class InsertAt:
 
 
 @dataclass(frozen=True, slots=True)
-class InsertBetween:
-    j_left: int | None
-    j_right: int | None
-    cell: bytes
-
-
-@dataclass(frozen=True, slots=True)
 class Length:
     pass
 
@@ -138,12 +125,9 @@ class Ok:
 @dataclass(frozen=True, slots=True)
 class Len:
     count: int
-    mode: int
 
 
-Message = GetRange | InsertAt | InsertBetween | Length | RebalanceHint | Save | ErrorMsg | Cells | Ok | Len
-
-REQUEST_OPCODES = {GET_RANGE, INSERT_AT, INSERT_BETWEEN, LENGTH, REBALANCE_HINT, SAVE}
+Message = GetRange | InsertAt | Length | RebalanceHint | Save | ErrorMsg | Cells | Ok | Len
 
 _U8, _U16, _U32, _U64 = (struct.Struct(fmt) for fmt in (">B", ">H", ">I", ">Q"))
 _U64X2 = struct.Struct(">QQ")
@@ -159,10 +143,6 @@ def _blob(b: bytes) -> bytes:
     return _U32.pack(len(b)) + b
 
 
-def _rank(j: int | None) -> bytes:
-    return _u64(NONE_RANK if j is None else j)
-
-
 def encode(msg: Message) -> bytes:
     """Serialize a message to a complete frame (length prefix included)."""
     if isinstance(msg, GetRange):
@@ -174,8 +154,6 @@ def encode(msg: Message) -> bytes:
         body = b"".join(parts)
     elif isinstance(msg, InsertAt):
         body = bytes([INSERT_AT]) + _u64(msg.l) + _blob(msg.cell)
-    elif isinstance(msg, InsertBetween):
-        body = bytes([INSERT_BETWEEN]) + _rank(msg.j_left) + _rank(msg.j_right) + _blob(msg.cell)
     elif isinstance(msg, Length):
         body = bytes([LENGTH])
     elif isinstance(msg, RebalanceHint):
@@ -187,7 +165,7 @@ def encode(msg: Message) -> bytes:
     elif isinstance(msg, Ok):
         body = bytes([OK]) + _blob(msg.data)
     elif isinstance(msg, Len):
-        body = bytes([LEN]) + _u64(msg.count) + bytes([msg.mode])
+        body = bytes([LEN]) + _u64(msg.count)
     else:
         raise CodecError(f"cannot encode {type(msg).__name__}")
     if len(body) > MAX_FRAME:
@@ -247,10 +225,6 @@ class _Reader:
         self._pos = pos
         return tuple(out)
 
-    def rank(self) -> int | None:
-        j = self.u64()
-        return None if j == NONE_RANK else j
-
     def done(self) -> None:
         if self._pos != len(self._buf):
             raise CodecError("trailing bytes in frame")
@@ -274,8 +248,6 @@ def decode(frame: bytes) -> Message:
         msg = Cells(r.blobs())
     elif opcode == INSERT_AT:
         msg = InsertAt(r.u64(), r.blob())
-    elif opcode == INSERT_BETWEEN:
-        msg = InsertBetween(r.rank(), r.rank(), r.blob())
     elif opcode == LENGTH:
         msg = Length()
     elif opcode == REBALANCE_HINT:
@@ -284,11 +256,14 @@ def decode(frame: bytes) -> Message:
         msg = Save()
     elif opcode == ERROR:
         code = r.u16()
-        msg = ErrorMsg(code, r.blob().decode())
+        try:
+            msg = ErrorMsg(code, r.blob().decode())
+        except UnicodeDecodeError as e:
+            raise CodecError(f"ERROR message is not UTF-8: {e}") from None
     elif opcode == OK:
         msg = Ok(r.blob())
     elif opcode == LEN:
-        msg = Len(r.u64(), r.u8())
+        msg = Len(r.u64())
     else:
         raise CodecError(f"unknown opcode 0x{opcode:02x}")
     r.done()
@@ -336,17 +311,10 @@ class StoreServer:
                 return ErrorMsg(E_BAD_REQUEST, f"{msg.count} cells need a {size}-byte frame, over the cap")
             return Cells(tuple(cells))
         if isinstance(msg, InsertAt):
-            if store.mode != store_mod.MODE_DENSE:
-                raise store_mod.ModeError("INSERT_AT requires a dense store")
             store.insert_at(msg.l, msg.cell)
             return Ok()
-        if isinstance(msg, InsertBetween):
-            if store.mode != store_mod.MODE_DECOUPLED:
-                raise store_mod.ModeError("INSERT_BETWEEN requires a decoupled store")
-            sparse = store.insert_between(msg.j_left, msg.j_right, msg.cell)
-            return Ok(sparse.to_bytes(SPARSE_WIRE_LEN, "big"))
         if isinstance(msg, Length):
-            return Len(len(store), store.mode)
+            return Len(len(store))
         if isinstance(msg, RebalanceHint):
             if store.mode != store_mod.MODE_DECOUPLED:
                 raise store_mod.ModeError("REBALANCE_HINT requires a decoupled store")
@@ -403,16 +371,8 @@ class _SessionBase:
     def insert_at(self, l: int, cell: bytes) -> None:
         self._expect(InsertAt(l, cell), Ok)
 
-    def insert_between(self, j_left: int | None, j_right: int | None, cell: bytes) -> int:
-        resp = self._expect(InsertBetween(j_left, j_right, cell), Ok)
-        return int.from_bytes(resp.data, "big")
-
     def length(self) -> int:
         return self._expect(Length(), Len).count
-
-    def length_and_mode(self) -> tuple[int, int]:
-        resp = self._expect(Length(), Len)
-        return resp.count, resp.mode
 
     def rebalance(self, batch: int = 0) -> bool:
         resp = self._expect(RebalanceHint(batch), Ok)
@@ -526,7 +486,7 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
                 # fail-safe: report, then drop the connection; store untouched
                 sock.sendall(encode(ErrorMsg(E_BAD_REQUEST, str(e))))
                 return
-            if not isinstance(msg, (GetRange, InsertAt, InsertBetween, Length, RebalanceHint, Save)):
+            if not isinstance(msg, (GetRange, InsertAt, Length, RebalanceHint, Save)):
                 sock.sendall(encode(ErrorMsg(E_BAD_REQUEST, f"{type(msg).__name__} is not a request")))
                 return
             sock.sendall(encode(server.handle(msg)))

@@ -35,7 +35,6 @@ from eseds.transport import (
     ErrorMsg,
     GetRange,
     InsertAt,
-    InsertBetween,
     Len,
     Length,
     LocalSession,
@@ -497,17 +496,12 @@ def test_criterion_11_persistence_and_codec_round_trips(capsys, tmp_path):
             [
                 GetRange(rng.randrange(1 << 64), rng.randrange(1 << 64)),
                 InsertAt(rng.randrange(1 << 32), rng.randbytes(rng.randrange(80))),
-                InsertBetween(
-                    None if rng.random() < 0.25 else rng.randrange(1 << 40),
-                    None if rng.random() < 0.25 else rng.randrange(1 << 40),
-                    rng.randbytes(rng.randrange(80)),
-                ),
                 Length(),
                 RebalanceHint(rng.randrange(1 << 16)),
                 Save(),
                 Cells(tuple(rng.randbytes(rng.randrange(80)) for _ in range(rng.randrange(4)))),
                 Ok(rng.randbytes(rng.randrange(4))),
-                Len(rng.randrange(1 << 64), rng.randrange(5)),
+                Len(rng.randrange(1 << 64)),
                 ErrorMsg(rng.randrange(1 << 16), "e" * rng.randrange(32)),
             ]
         )

@@ -22,13 +22,11 @@ from eseds.store import (
     DecoupledStore,
     DenseStore,
     FormatError,
-    MidpointCollision,
     ModeError,
     OutOfRange,
     StoreError,
     StoreFull,
     load,
-    peek_mode,
     save,
 )
 
@@ -68,21 +66,21 @@ def test_dense_get_cell_and_bounds():
 
 
 def test_dense_insert_at_zero_rotation():
-    st = DenseStore(cells(0, 1, 2))
-    st.insert_at(1, b"XX", rotation_coins=FixedCoins(0))
+    st = DenseStore(cells(0, 1, 2), rng=FixedCoins(0))
+    st.insert_at(1, b"XX")
     assert st.logical_cells() == [cells(0)[0], b"XX", cells(1)[0], cells(2)[0]]
 
 
 def test_dense_insert_at_with_rotation():
     c0, c1, c2 = cells(0, 1, 2)
-    st = DenseStore([c0, c1, c2])
-    st.insert_at(1, b"XX", rotation_coins=FixedCoins(2))
+    st = DenseStore([c0, c1, c2], rng=FixedCoins(2))
+    st.insert_at(1, b"XX")
     assert st.logical_cells() == [c1, c2, c0, b"XX"]
 
 
 def test_dense_insert_into_empty():
-    st = DenseStore()
-    st.insert_at(0, b"XX", rotation_coins=FixedCoins(0))
+    st = DenseStore(rng=FixedCoins(0))
+    st.insert_at(0, b"XX")
     assert st.logical_cells() == [b"XX"]
 
 
@@ -96,15 +94,15 @@ def test_dense_rotation_offsets_cover_new_length():
     # with n+1 cells after insert, offsets 0..n must all be reachable
     seen = set()
     for s in range(4):
-        st = DenseStore(cells(0, 1, 2))
-        st.insert_at(0, b"XX", rotation_coins=FixedCoins(s))
+        st = DenseStore(cells(0, 1, 2), rng=FixedCoins(s))
+        st.insert_at(0, b"XX")
         seen.add(tuple(st.logical_cells()))
     assert len(seen) == 4
 
 
 def test_dense_unseeded_rotation_uses_store_rng():
     st = DenseStore(cells(0, 1, 2), rng=random.Random(5))
-    st.insert_at(0, b"XX")  # no explicit coins: server randomness
+    st.insert_at(0, b"XX")  # the rotation comes from the store's rng
     want = DenseStore(cells(0, 1, 2), rng=random.Random(5))
     want.insert_at(0, b"XX")
     assert st == want
@@ -117,66 +115,73 @@ def test_dense_unseeded_rotation_uses_store_rng():
 
 def test_decoupled_midpoint_insert_pinned():
     st = DecoupledStore(index_bits=16)
-    st.insert_between(None, None, b"A")  # empty: midpoint of the whole space
+    st.insert_at(0, b"A")  # empty: midpoint of the whole space
     assert st.sparse_indices() == [1 << 15]
     # the default 256-bit space puts the first cell at 2**255
-    assert DecoupledStore().insert_between(None, None, b"A") == 1 << 255
+    st = DecoupledStore()
+    st.insert_at(0, b"A")
+    assert st.sparse_indices() == [1 << 255]
 
 
 def test_decoupled_insert_between_neighbors():
     st = DecoupledStore(index_bits=16)
-    st.insert_between(None, None, b"A")
+    st.insert_at(0, b"A")
     st._entries[0].sparse = 100
-    st.insert_between(0, None, b"C")
+    st.insert_at(1, b"C")
     st._entries[1].sparse = 900
-    sparse = st.insert_between(0, 1, b"B")
-    assert sparse == 500
+    st.insert_at(1, b"B")
     assert st.sparse_indices() == [100, 500, 900]
     assert st.get_cell(1) == b"B"
 
 
 def test_decoupled_rank_order_lookup():
     st = DecoupledStore(index_bits=16)
-    st.insert_between(None, None, b"A")
+    st.insert_at(0, b"A")
     st._entries[0].sparse = 100
-    st.insert_between(0, None, b"B")
+    st.insert_at(1, b"B")
     st._entries[1].sparse = 900
     assert st.get_cell(1) == b"B"
     with pytest.raises(OutOfRange):
         st.get_cell(2)
 
 
-def test_decoupled_adjacency_validation():
-    st = DecoupledStore(index_bits=16)
-    st.insert_between(None, None, b"A")
-    st.insert_between(0, None, b"B")
-    with pytest.raises(OutOfRange):
-        st.insert_between(0, 0, b"C")
-    with pytest.raises(OutOfRange):
-        st.insert_between(None, 1, b"C")
-    with pytest.raises(OutOfRange):
-        st.insert_between(None, None, b"C")
-    with pytest.raises(OutOfRange):
-        st.insert_between(1, 0, b"C")
+def test_decoupled_insert_at_every_slot_splices_in_rank_order():
+    # appending in an 8-bit space halves the top gap each time, so the larger
+    # stores also take the local-rebalance path at some slots
+    collisions = 0
+    for n in range(12):
+        for l in range(n + 1):
+            st = DecoupledStore(index_bits=8)
+            for i in range(n):
+                st.insert_at(i, bytes([i]))
+            old = st.logical_cells()
+            st.insert_at(l, b"new")
+            assert st.logical_cells() == old[:l] + [b"new"] + old[l:], (n, l)
+            idx = st.sparse_indices()
+            assert all(a < b for a, b in zip(idx, idx[1:])), (n, l, idx)
+            collisions += st.collisions
+    assert collisions
 
 
-def test_decoupled_collision_raises_without_auto_rebalance():
-    st = DecoupledStore(index_bits=16)
-    st.insert_between(None, None, b"A")
-    st.insert_between(0, None, b"B")
-    st._entries[0].sparse = 7
-    st._entries[1].sparse = 8
-    with pytest.raises(MidpointCollision):
-        st.insert_between(0, 1, b"C", auto_rebalance=False)
+@pytest.mark.parametrize("layout", ["dense", "decoupled"])
+def test_insert_at_rejects_slots_outside_the_store(layout):
+    st = DenseStore() if layout == "dense" else DecoupledStore(index_bits=16)
+    for i in range(3):
+        st.insert_at(i, bytes([i]))
+    before = st.logical_cells()
+    for l in (-1, len(st) + 1):
+        with pytest.raises(OutOfRange):
+            st.insert_at(l, b"C")
+    assert st.logical_cells() == before
 
 
 def test_decoupled_collision_triggers_local_rebalance():
     st = DecoupledStore(index_bits=16)
-    st.insert_between(None, None, b"A")
-    st.insert_between(0, None, b"B")
+    st.insert_at(0, b"A")
+    st.insert_at(1, b"B")
     st._entries[0].sparse = 7
     st._entries[1].sparse = 8
-    st.insert_between(0, 1, b"C")
+    st.insert_at(1, b"C")
     assert st.collisions == 1
     assert [st.get_cell(j) for j in range(3)] == [b"A", b"C", b"B"]
     lo, mid, hi = st.sparse_indices()
@@ -185,12 +190,11 @@ def test_decoupled_collision_triggers_local_rebalance():
 
 def test_decoupled_store_full():
     st = DecoupledStore(index_bits=8)
-    st.insert_between(None, None, bytes([0]))
-    for i in range(1, 120):
-        st.insert_between(None, 0, bytes([i]))
+    for i in range(120):
+        st.insert_at(0, bytes([i]))
     with pytest.raises(StoreFull):
         for i in range(120, 300):
-            st.insert_between(None, 0, bytes([i]))
+            st.insert_at(0, bytes([i]))
 
 
 def test_decoupled_index_bits_validation():
@@ -207,10 +211,8 @@ def test_decoupled_index_bits_validation():
 
 def _spaced_store(count, index_bits=16, seed=1):
     st = DecoupledStore(index_bits=index_bits, rng=random.Random(seed))
-    if count:
-        st.insert_between(None, None, bytes([0]))
-    for i in range(1, count):
-        st.insert_between(i - 1, None, bytes([i]))
+    for i in range(count):
+        st.insert_at(i, bytes([i]))
     return st
 
 
@@ -265,7 +267,7 @@ def test_rebalance_batched_equals_one_shot():
 def test_rebalance_restarts_after_mutation():
     st = _spaced_store(6, seed=4)
     assert not st.rebalance_step(2)
-    st.insert_between(5, None, b"zz")  # mutate mid-pass
+    st.insert_at(6, b"zz")  # mutate mid-pass
     assert st.rebalance_step(0)  # restarts from the post-insert order
     idx = st.sparse_indices()
     gaps = [b - a for a, b in zip(idx, idx[1:])]
@@ -320,8 +322,8 @@ def test_dense_save_load_round_trip(tmp_path):
     st.insert_at(0, b"YY")
     path = tmp_path / "d.store"
     save(st, path)
-    assert peek_mode(path) == MODE_DENSE
     loaded = load(path)
+    assert loaded.mode == MODE_DENSE
     assert loaded == st
     assert loaded.logical_cells() == st.logical_cells()
 
@@ -330,8 +332,8 @@ def test_decoupled_save_load_round_trip(tmp_path):
     st = _spaced_store(9)
     path = tmp_path / "s.store"
     save(st, path)
-    assert peek_mode(path) == MODE_DECOUPLED
     loaded = load(path)
+    assert loaded.mode == MODE_DECOUPLED
     assert loaded == st
     assert loaded.sparse_indices() == st.sparse_indices()
 
@@ -408,10 +410,9 @@ def _dense_file_case(key, rng):
 
 def _decoupled_file_case(key, rng):
     st = DecoupledStore(rng=random.Random(5))
-    st.insert_between(None, None, b"first")
+    st.insert_at(0, b"first")
     for cell in _varied_cells(rng, RECORDS_PER_WRITE + 10):
-        j = rng.randrange(len(st) + 1)
-        st.insert_between(j - 1 if j else None, j if j < len(st) else None, cell)
+        st.insert_at(rng.randrange(len(st) + 1), cell)
     records = list(zip(st.sparse_indices(), [st.get_cell(j) for j in range(len(st))]))
     return st, reference_store_file(MODE_DECOUPLED, records, index_bits=st.domain_bits)
 

@@ -1,5 +1,6 @@
 """Wire codec, request handling, sessions, and the key-material boundary."""
 
+import contextlib
 import pathlib
 import random
 import socket
@@ -14,13 +15,11 @@ from eseds.store import DecoupledStore, DenseStore
 from eseds.transport import (
     DEFAULT_PORT,
     MAX_FRAME,
-    NONE_RANK,
     Cells,
     CodecError,
     ErrorMsg,
     GetRange,
     InsertAt,
-    InsertBetween,
     Len,
     Length,
     LocalSession,
@@ -41,10 +40,6 @@ MESSAGES = [
     GetRange((1 << 64) - 2, (1 << 64) - 1),
     InsertAt(3, b"cellbytes"),
     InsertAt(0, b""),
-    InsertBetween(None, 0, b"c"),
-    InsertBetween(4, 5, b"c"),
-    InsertBetween(7, None, b"c"),
-    InsertBetween(None, None, b"c"),
     Length(),
     RebalanceHint(0),
     RebalanceHint(12),
@@ -56,8 +51,8 @@ MESSAGES = [
     Cells(()),
     Ok(b""),
     Ok(b"\x01"),
-    Len(0, 0),
-    Len((1 << 64) - 1, 4),
+    Len(0),
+    Len((1 << 64) - 1),
 ]
 
 
@@ -66,10 +61,8 @@ def test_codec_round_trip(msg):
     assert decode(encode(msg)) == msg
 
 
-def test_codec_none_rank_sentinel():
-    frame = encode(InsertBetween(None, 3, b"x"))
-    assert NONE_RANK.to_bytes(8, "big") in frame
-    assert decode(frame).j_left is None
+def _frame(body: bytes) -> bytes:
+    return len(body).to_bytes(4, "big") + body
 
 
 def test_decode_rejects_garbage():
@@ -83,6 +76,20 @@ def test_decode_rejects_garbage():
     frame[4:5] = b"\x99"
     with pytest.raises(CodecError):
         decode(bytes(frame))
+    with pytest.raises(CodecError):
+        decode(_frame(b"\x20\x00\x01" + b"\x00\x00\x00\x02\xff\xfe"))  # ERROR message not UTF-8
+
+
+def test_retired_insert_opcode_is_unknown():
+    # 0x03 once carried (u64 j_left, u64 j_right, cell blob)
+    with pytest.raises(CodecError, match="unknown opcode 0x03"):
+        decode(_frame(b"\x03" + bytes(16) + b"\x00\x00\x00\x01c"))
+
+
+def test_len_carries_only_the_count():
+    assert encode(Len(5)) == _frame(b"\x23" + (5).to_bytes(8, "big"))
+    with pytest.raises(CodecError):  # a trailing mode byte is no longer part of LEN
+        decode(_frame(b"\x23" + (5).to_bytes(8, "big") + b"\x01"))
 
 
 def test_decode_rejects_trailing_payload():
@@ -91,10 +98,6 @@ def test_decode_rejects_trailing_payload():
     frame[0:4] = (len(frame) - 4).to_bytes(4, "big")
     with pytest.raises(CodecError):
         decode(bytes(frame))
-
-
-def _frame(body: bytes) -> bytes:
-    return len(body).to_bytes(4, "big") + body
 
 
 def test_decode_rejects_truncated_or_trailing_cells():
@@ -122,12 +125,12 @@ class _FixedRotation:
 
 
 def test_get_range_reads_cyclically_from_dense_and_decoupled_stores():
-    dense = DenseStore([b"a", b"b", b"c", b"d"])
-    dense.insert_at(4, b"e", rotation_coins=_FixedRotation(3))
+    dense = DenseStore([b"a", b"b", b"c", b"d"], rng=_FixedRotation(3))
+    dense.insert_at(4, b"e")
     assert dense.logical_cells() == [b"d", b"e", b"a", b"b", b"c"]
     decoupled = DecoupledStore(index_bits=16)
     for i, cell in enumerate([b"p", b"q", b"r", b"s", b"t"]):
-        decoupled.insert_between(i - 1 if i else None, None, cell)
+        decoupled.insert_at(i, cell)
     for store in (dense, decoupled):
         server, logical = StoreServer(store), store.logical_cells()
         for start in range(5):
@@ -150,14 +153,9 @@ def test_random_frame_round_trips():
             [
                 GetRange(rng.randrange(1 << 64), rng.randrange(1 << 64)),
                 InsertAt(rng.randrange(1 << 32), rng.randbytes(rng.randrange(64))),
-                InsertBetween(
-                    None if rng.random() < 0.3 else rng.randrange(1 << 32),
-                    None if rng.random() < 0.3 else rng.randrange(1 << 32),
-                    rng.randbytes(rng.randrange(64)),
-                ),
                 ErrorMsg(rng.randrange(1 << 16), "x" * rng.randrange(40)),
                 Cells(tuple(rng.randbytes(rng.choice((0, 36))) for _ in range(rng.randrange(5)))),
-                Len(rng.randrange(1 << 64), rng.randrange(5)),
+                Len(rng.randrange(1 << 64)),
             ]
         )
         assert decode(encode(msg)) == msg
@@ -171,16 +169,16 @@ def test_random_frame_round_trips():
 def test_server_roundtrip_and_errors(tmp_path):
     store = DenseStore(rng=random.Random(1))
     server = StoreServer(store, save_path=str(tmp_path / "s.store"))
-    assert server.handle(Length()) == Len(0, 0)
+    assert server.handle(Length()) == Len(0)
     assert isinstance(server.handle(InsertAt(0, b"abc")), Ok)
     assert server.handle(GetRange(0, 1)) == Cells((b"abc",))
 
     resp = server.handle(GetRange(5, 1))
     assert isinstance(resp, ErrorMsg) and resp.code == 2  # out of range
-    resp = server.handle(InsertBetween(None, None, b"x"))
-    assert isinstance(resp, ErrorMsg) and resp.code == 3  # wrong mode
+    resp = server.handle(InsertAt(2, b"x"))
+    assert isinstance(resp, ErrorMsg) and resp.code == 2  # slot past the end
     resp = server.handle(RebalanceHint(0))
-    assert isinstance(resp, ErrorMsg) and resp.code == 3
+    assert isinstance(resp, ErrorMsg) and resp.code == 3  # wrong mode
     assert isinstance(server.handle(Save()), Ok)
     assert (tmp_path / "s.store").exists()
 
@@ -194,9 +192,8 @@ def test_server_save_without_path():
 def test_server_rebalance_hint_done_flag():
     store = DecoupledStore(index_bits=16, rng=random.Random(3))
     server = StoreServer(store)
-    server.handle(InsertBetween(None, None, b"a"))
-    server.handle(InsertBetween(0, None, b"b"))
-    server.handle(InsertBetween(1, None, b"c"))
+    for l, cell in enumerate([b"a", b"b", b"c"]):
+        assert server.handle(InsertAt(l, cell)) == Ok()
     assert server.handle(RebalanceHint(1)) == Ok(b"\x00")
     assert server.handle(RebalanceHint(1)) == Ok(b"\x00")
     assert server.handle(RebalanceHint(1)) == Ok(b"\x01")
@@ -208,10 +205,10 @@ def test_local_session_typed_helpers():
     store = DecoupledStore(index_bits=16, rng=random.Random(4))
     session = LocalSession(store)
     assert session.length() == 0
-    sparse = session.insert_between(None, None, b"zz")
-    assert sparse == 1 << 15
+    session.insert_at(0, b"zz")
+    assert store.sparse_indices() == [1 << 15]
     assert session.get_cell(0) == b"zz"
-    assert session.length_and_mode() == (1, 1)
+    assert session.length() == 1
     assert session.rebalance(0) is True
     with pytest.raises(ServerError) as exc:
         session.get_cell(9)
@@ -240,27 +237,35 @@ def test_session_stats_count_fetches():
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def tcp_server():
-    store = DenseStore(rng=random.Random(6))
+@contextlib.contextmanager
+def _serving(store):
     server = serve(store, port=0)  # ephemeral port
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield server, store
+        yield server
     finally:
         server.shutdown()
         server.server_close()
 
 
-def test_tcp_matches_local(tcp_server, key):
-    server, store = tcp_server
-    host, port = server.server_address
-    dom = Domain(32)
+@pytest.fixture
+def tcp_server():
+    store = DenseStore(rng=random.Random(6))
+    with _serving(store) as server:
+        yield server, store
 
-    twin = DenseStore(rng=random.Random(6))
+
+@pytest.mark.parametrize("layout", ["dense", "decoupled"])
+def test_tcp_matches_local(layout, key):
+    def new_store():
+        rng = random.Random(6)
+        return DenseStore(rng=rng) if layout == "dense" else DecoupledStore(index_bits=8, rng=rng)
+
+    store, twin = new_store(), new_store()
+    dom = Domain(32)
     local = LocalSession(twin)
-    with TcpSession(host, port) as remote:
+    with _serving(store) as server, TcpSession(*server.server_address) as remote:
         coins_a, coins_b = CoinSource(9), CoinSource(9)
         for v in [4, 9, 1, 9, 30]:
             insert(key, remote, v, dom, coins=coins_a)
@@ -273,7 +278,7 @@ def test_tcp_matches_local(tcp_server, key):
         got = search_range(key, remote, RangeQuery(2, 9), dom)
         want = search_range(key, local, RangeQuery(2, 9), dom)
         assert got == want
-        assert remote.length_and_mode() == local.length_and_mode()
+        assert remote.length() == local.length() == 5
 
 
 def test_tcp_error_frames_surface_as_server_errors(tcp_server):
@@ -309,6 +314,15 @@ def test_tcp_rejects_non_request_frames(tcp_server):
     host, port = server.server_address
     with socket.create_connection((host, port), timeout=5) as sock:
         sock.sendall(encode(Cells((b"nope",))))  # response opcode as a request
+        resp = sock.recv(1 << 16)
+    msg = decode(resp)
+    assert isinstance(msg, ErrorMsg) and msg.code == 1
+
+
+def test_tcp_answers_an_error_frame_that_is_not_utf8_with_bad_request(tcp_server):
+    server, _ = tcp_server
+    with socket.create_connection(server.server_address, timeout=5) as sock:
+        sock.sendall(_frame(b"\x20\x00\x01" + b"\x00\x00\x00\x01\xff"))
         resp = sock.recv(1 << 16)
     msg = decode(resp)
     assert isinstance(msg, ErrorMsg) and msg.code == 1
