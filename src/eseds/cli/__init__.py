@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import os
 import struct
 import sys
@@ -107,11 +108,25 @@ def _parse_addr(addr: str) -> tuple[str, int]:
 
 
 @contextlib.contextmanager
+def _store_lock(path: str):
+    """Exclusive flock on ``<store>.lock``, held until the block exits.  The
+    store file itself cannot carry the lock: save renames a new file over it."""
+    fd = os.open(path + ".lock", os.O_WRONLY | os.O_CREAT, 0o600)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)
+
+
+@contextlib.contextmanager
 def open_session(args, writable: bool = False):
     """Session against --addr, or embedded against the --store file.
 
-    Embedded writable sessions save the store back on clean exit; remote
-    ones ask the server to persist instead.
+    Embedded writable sessions hold the store's lock file from before the
+    load until after they save the store back on clean exit, so concurrent
+    writers run one after the other; remote ones ask the server to persist
+    instead.
     """
     if args.addr and args.embedded:
         raise UserError("--addr and --embedded are mutually exclusive")
@@ -124,11 +139,11 @@ def open_session(args, writable: bool = False):
     else:
         if not os.path.exists(args.store):
             raise UserError(f"store file {args.store} does not exist (run init first)")
-        store = store_mod.load(args.store)
-        session = LocalSession(store)
-        yield session
-        if writable:
-            store.save(args.store)
+        with _store_lock(args.store) if writable else contextlib.nullcontext():
+            store = store_mod.load(args.store)
+            yield LocalSession(store)
+            if writable:
+                store.save(args.store)
 
 
 def _coins(args) -> CoinSource:

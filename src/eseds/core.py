@@ -3,27 +3,23 @@
 The server holds an array of opaque cells whose decryptions are always a
 cyclic rotation of the sorted multiset of inserted values.  The client keeps
 no state between operations; every operation rediscovers what it needs by
-fetching cells and decrypting them locally.  Binary-search probes and the
-search and insert scan fallbacks read one cell per request; top-k and the
-read-back of a search result read each run of consecutive cells with one
-GET_RANGE.
+fetching cells and decrypting them locally.  Binary-search probes read one
+cell per request; top-k and the read-back of a search result read each run
+of consecutive cells with one GET_RANGE.
 
-All order comparisons happen in the frame of r = Dec(C[0]): the map
-f(x) = (x - r) mod N straightens the rotation out, because the cell array
-read in index order is sorted under f whenever the value run containing
-C[0] does not wrap past the end of the array.  When it does wrap (C[0] and
-C[n-1] decrypt equal), the cells holding r itself sort to the wrong end;
-if C[1] != r the run contributes exactly one leading cell and the window
-1..n-1 is still sorted under the patched key K(x) = N for x = r, f(x)
-otherwise.  Deeper wraps (C[1] = r too) leave no order that probes of
-single cells can use.  Searches and inserts then scan every cell.  Finding
-the rotation start (top-k and the find_* lookups) reads every cell too, but
-in ranged runs of READ_RUN cells, and decrypts only O(log n) of them
-locally: any cell x that does not hold r ends the leading run of r-cells,
-so bisection finds the first non-r index s, and the window s..n-1 is sorted
-under K.  The fallbacks preserve correctness; the logarithmic round-trip
-bounds hold on stores where the boundary run is short (always true for
-distinct values).
+Every order comparison happens in one reading frame (s, A), found by
+_frame: read cyclically from index s, the cells are sorted under
+g(x) = (x - A) mod N.  With r = Dec(C[0]) the frame is s = 0, A = r unless
+the run of r-cells wraps past the end of the array (C[n-1] = r).  Then
+A = r + 1, so that r sorts last, and s is the first index that does not
+hold r: 1 when C[1] != r, otherwise (a deep wrap) the client reads the
+store in ranged runs of READ_RUN cells and finds s with O(log n) local
+decrypts.  Search bisects g over indices s..n-1; top-k, the find_* lookups
+and an insert that meets a wrapped run start from the rotation the frame
+gives.  Search and insert are O(log n) probes except on a deep wrap: a
+deep-wrap search still filters every cell with one-cell reads, and an
+insert that meets one reads the whole store in ranges.  On distinct values
+no run wraps.
 """
 
 from __future__ import annotations
@@ -183,25 +179,6 @@ def _first_greater(keyf, lo: int, hi: int, target: int) -> int:
     return lo
 
 
-def _rotation_starts(values: list[int]) -> list[int]:
-    """Every w such that values[w:] + values[:w] is sorted.  A rotation of a
-    sorted multiset has at most one cyclic descent: with none all values are
-    equal and every w works, with one at i only w = i+1 does, with more none."""
-    n = len(values)
-    descents = [i for i in range(n) if values[i] > values[(i + 1) % n]]
-    if not descents:
-        return list(range(n))
-    return [(descents[0] + 1) % n] if len(descents) == 1 else []
-
-
-def _scan_rotation(view: _OpView, n: int) -> int:
-    values = [view.value(j) for j in range(n)]
-    starts = _rotation_starts(values)
-    if not starts:
-        raise ProtocolError("cells are not a rotation of a sorted multiset")
-    return 0 if len(starts) == n else starts[0]
-
-
 def _off_run(view: _OpView, n: int, r: int) -> int | None:
     """An index whose cell does not hold r, when C[0] = C[1] = C[n-1] = r,
     galloping from both ends: probes 2, 4, 8, ... and n-2, n-3, n-5, n-9, ...
@@ -217,29 +194,34 @@ def _off_run(view: _OpView, n: int, r: int) -> int | None:
     return None
 
 
+def _frame(view: _OpView, n: int, N: int) -> tuple[int, int]:
+    """(s, A): read cyclically from index s, the cells are sorted under
+    g(x) = (x - A) mod N.  Cells 0..s-1 all hold r = Dec(C[0]), and g puts
+    r last when r's run wraps."""
+    r = view.value(0)
+    if n == 1 or view.value(n - 1) != r:
+        return 0, r
+    if view.value(1) != r:
+        return 1, (r + 1) % N
+    # deep wrap: C[0] = C[1] = C[n-1] = r; read every cell, decrypt few
+    view.read_all(n)
+    x = _off_run(view, n, r)
+    if x is None:  # r holds most cells, or all of them (then any s works)
+        s = next((j for j in range(2, n - 1) if view.value(j) != r), 0)
+    else:
+        s = _first_at_least(lambda j: view.value(j) != r, 2, x, True)
+    return s, (r + 1) % N
+
+
 def _rotation(view: _OpView, n: int, dom: Domain) -> int:
-    """Index of the first cell in sorted reading order."""
+    """Index of the first cell in sorted reading order: the first value
+    below A read from s, or s itself when there is none."""
     if n == 1:
         return 0
     N = dom.size
-    r = view.value(0)
-    if view.value(n - 1) != r:
-        f = lambda j: (view.value(j) - r) % N
-        idx = _first_at_least(f, 0, n, (N - r) % N)
-        return 0 if idx == n else idx
-    if n == 2:
-        return 0  # both cells hold r
-    if view.value(1) != r:
-        lo = 1
-    else:  # deep wrap: C[0] = C[1] = C[n-1] = r; read every cell, decrypt few
-        view.read_all(n)
-        x = _off_run(view, n, r)
-        if x is None:
-            return _scan_rotation(view, n)
-        lo = _first_at_least(lambda j: view.value(j) != r, 2, x, True)
-    # cells lo..n-1 are the non-r block followed by the trailing r-cells
-    K = lambda j: N if view.value(j) == r else (view.value(j) - r) % N
-    return _first_at_least(K, lo, n, N if r == 0 else N - r)
+    s, A = _frame(view, n, N)
+    w = _first_at_least(lambda j: (view.value(j) - A) % N, s, n, -A % N)
+    return s if w == n else w
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +235,11 @@ def insert(key: SecretKey, session, m: int, dom: Domain, coins: CoinSource | Non
     The slot is found by binary search over the n+1 possible positions in
     the frame of r = Dec(C[0]), flipping a coin whenever the probed cell
     equals m so ties are broken at every level.  A probe at index >= 1 that
-    decrypts to r means the boundary run wraps and the frame order is not
-    trustworthy; the protocol then falls back to scanning all cells and
-    picking uniformly among the order-preserving slots.  The one INSERT_AT
-    request names the slot; how the store lays the cell out (a dense array
+    decrypts to r while C[n-1] also holds r means the boundary run wraps
+    and the frame order is not trustworthy; the protocol then finds the
+    rotation start w, bisects the sorted positions for m's run and picks
+    uniformly among the order-preserving slots.  The one INSERT_AT request
+    names the slot; how the store lays the cell out (a dense array
     re-rotated by the server, or a sparse index between its neighbours) is
     the server's business.
     """
@@ -276,8 +259,12 @@ def insert(key: SecretKey, session, m: int, dom: Domain, coins: CoinSource | Non
     while lo < hi:
         mid = (lo + hi) // 2
         v = view.value(mid)
-        if mid >= 1 and v == r:
-            lo = _scan_slot(view, n, m, coins)
+        if mid >= 1 and v == r and view.value(n - 1) == r:
+            w = _rotation(view, n, dom)
+            at = lambda p: view.value((w + p) % n)
+            left, right = _first_at_least(at, 0, n, m), _first_greater(at, 0, n, m)
+            slots = sorted({(w + t) % n for t in range(left, right + 1)})
+            lo = slots[coins.randrange(len(slots))]
             break
         if v == m:
             if coins.bit():
@@ -292,17 +279,6 @@ def insert(key: SecretKey, session, m: int, dom: Domain, coins: CoinSource | Non
     return n + 1
 
 
-def _scan_slot(view: _OpView, n: int, m: int, coins: CoinSource) -> int:
-    """Slot choice when the boundary run wraps: scan, then pick uniformly
-    among the cyclic positions that keep the array a rotation of sorted."""
-    from bisect import bisect_left, bisect_right
-
-    w = _scan_rotation(view, n)
-    ds = sorted(view.value(j) for j in range(n))
-    slots = sorted({(w + t) % n for t in range(bisect_left(ds, m), bisect_right(ds, m) + 1)})
-    return slots[coins.randrange(len(slots))]
-
-
 def search_range(key: SecretKey, session, q: RangeQuery, dom: Domain) -> RangeResult:
     """Indices of all cells whose value lies in the cyclic interval [a, b]."""
     _check_plaintext(q.a, dom, "range start")
@@ -311,19 +287,12 @@ def search_range(key: SecretKey, session, q: RangeQuery, dom: Domain) -> RangeRe
     if n == 0:
         return RangeResult(())
     view = _OpView(key, session, dom)
-    N = dom.size
     a, b = q.a, q.b
-    if n == 1:
-        hit = in_cyclic_range(view.value(0), a, b, dom)
-        return RangeResult(((0, 0),) if hit else ())
     r = view.value(0)
-    fa, fb = (a - r) % N, (b - r) % N
-    if view.value(n - 1) != r:
-        segments = _segments_plain_frame(view, n, N, r, fa, fb)
-    elif n > 2 and view.value(1) != r:
-        segments = _segments_patched_frame(view, n, N, r, fa, fb)
-    else:
+    if n > 1 and view.value(n - 1) == r == view.value(1):  # deep wrap
         segments = _segments_scan(view, n, dom, a, b)
+    else:
+        segments = _segments(view, n, dom.size, *_frame(view, n, dom.size), a, b)
     for lo, hi in segments:
         if not in_cyclic_range(view.value(lo), a, b, dom) or not in_cyclic_range(
             view.value(hi), a, b, dom
@@ -332,42 +301,30 @@ def search_range(key: SecretKey, session, q: RangeQuery, dom: Domain) -> RangeRe
     return RangeResult(tuple(segments))
 
 
-def _segments_plain_frame(view, n, N, r, fa, fb):
-    """No wrap: the cell array is sorted under f in index order."""
-    f = lambda j: (view.value(j) - r) % N
-    jmin = _first_at_least(f, 0, n, fa)
-    jmax = _first_greater(f, 0, n, fb) - 1
-    if fa <= fb:
-        return [(jmin, jmax)] if jmin <= jmax else []
-    # the query interval crosses the frame origin: tail of the frame, then head
-    if jmin <= jmax + 1:
+def _segments(view, n, N, s, A, a, b):
+    """Bisect g over indices s..n-1 (cells 0..s-1 hold r, the maximum), take
+    the one cyclic run of matches in reading order, split it at index n-1."""
+    ga, gb = (a - A) % N, (b - A) % N
+    # reading position p < n-s is index s+p; the s positions after those
+    # hold r, where g = N-1, so they match exactly when gb = N-1
+    g = lambda p: (view.value(s + p) - A) % N
+    first = _first_at_least(g, 0, n - s, ga)
+    last = n - 1 if gb == N - 1 else _first_greater(g, 0, n - s, gb) - 1
+    if ga <= gb:
+        count = last - first + 1
+    else:  # matches at both ends of the reading order: one run through its end
+        count = min(n, n - first + last + 1)
+    if count <= 0:
+        return []
+    if count == n:
         return [(0, n - 1)]
-    out = []
-    if jmax >= 0:
-        out.append((0, jmax))
-    if jmin <= n - 1:
-        out.append((jmin, n - 1))
-    return out
-
-
-def _segments_patched_frame(view, n, N, r, fa, fb):
-    """Boundary run wraps with a single leading cell: C[0] = C[n-1] = r and
-    C[1] != r.  Indices 1..n-1 are sorted under K (r patched to sort last)."""
-    K = lambda j: N if view.value(j) == r else (view.value(j) - r) % N
-    r_in_query = fa > fb or fa == 0
-    if not r_in_query:
-        jmin = _first_at_least(K, 1, n, fa)
-        jmax = _first_greater(K, 1, n, fb) - 1
-        return [(jmin, jmax)] if jmin <= jmax else []
-    tail_lo = _first_at_least(K, 1, n, N if fa == 0 else fa)
-    head_hi = 0 if fb == 0 else _first_greater(K, 1, n, fb) - 1
-    if tail_lo <= head_hi + 1:
-        return [(0, n - 1)]
-    return [(0, head_hi), (tail_lo, n - 1)]
+    lo = (s + first) % n
+    hi = lo + count - 1
+    return [(lo, hi)] if hi < n else [(0, hi - n), (lo, n - 1)]
 
 
 def _segments_scan(view, n, dom, a, b):
-    """Deep boundary wrap: no usable order; filter every cell."""
+    """Deep boundary wrap: filter every cell, read one cell per request."""
     matches = [j for j in range(n) if in_cyclic_range(view.value(j), a, b, dom)]
     runs: list[list[int]] = []
     for j in matches:

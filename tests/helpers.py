@@ -69,6 +69,31 @@ def valid_insert_layouts(values: list[int], m: int) -> set[tuple[int, ...]]:
     return layouts
 
 
+def order_preserving_slots(values: list[int], m: int) -> set[int]:
+    """Every slot (mod n, since slots 0 and n give the same cyclic array)
+    where inserting m keeps the array a rotation of sorted."""
+    n = len(values)
+    return {
+        slot % n
+        for slot in range(n + 1)
+        if is_rotation_of_sorted(values[:slot] + [m] + values[slot:])
+    }
+
+
+def bisection_probes(keys: list[int], target: int, strict: bool = False) -> list[int]:
+    """Indices a textbook binary search visits for the first key >= target
+    (> target when strict), keys sorted ascending."""
+    lo, hi, probes = 0, len(keys), []
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probes.append(mid)
+        if keys[mid] < target or (strict and keys[mid] == target):
+            lo = mid + 1
+        else:
+            hi = mid
+    return probes
+
+
 def bucketing_expectation(multiset: list[int]) -> Fraction:
     """Expected per-cell accuracy of the sorted-guess attack on a uniformly
     rotated array of the sorted multiset, by enumerating all n rotations."""

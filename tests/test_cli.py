@@ -1,14 +1,20 @@
 """End-to-end command line runs, in-process via main()."""
 
+import argparse
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 import eseds
-from eseds.cli import main
+from eseds import store as store_mod
+from eseds.cli import main, open_session, read_keyfile
+from eseds.core import CoinSource, insert
+from eseds.store import DenseStore
 
 
 def run(capsys, *argv):
@@ -115,6 +121,38 @@ def test_persistence_across_invocations(capsys, store):
     code, out, _ = run(capsys, "topk", "--store", store, "2")
     assert code == 0
     assert [l for l in out.splitlines() if l.startswith("value")] == ["value 7", "value 42"]
+
+
+def test_concurrent_writable_sessions_do_not_lose_updates(capsys, store, monkeypatch):
+    init(capsys, store)
+    key, dom = read_keyfile(store + ".key")
+    args = argparse.Namespace(addr=None, embedded=False, store=store)
+    events = []
+    load, save = store_mod.load, DenseStore.save
+    monkeypatch.setattr(store_mod, "load", lambda path: events.append("load") or load(path))
+    monkeypatch.setattr(DenseStore, "save", lambda self, sink: (save(self, sink), events.append("save"))[0])
+    first_inside, release = threading.Event(), threading.Event()
+
+    def writer(value, inside):
+        with open_session(args, writable=True) as session:
+            insert(key, session, value, dom, coins=CoinSource(value))
+            inside.set()
+            release.wait(10)
+
+    first = threading.Thread(target=writer, args=(5, first_inside))
+    second = threading.Thread(target=writer, args=(9, threading.Event()))
+    first.start()
+    first_inside.wait(10)
+    second.start()
+    time.sleep(0.2)  # room for the second session to load, were it not blocked
+    assert events == ["load"]
+    release.set()
+    first.join(10)
+    second.join(10)
+    assert events == ["load", "save", "load", "save"]
+    code, out, _ = run(capsys, "topk", "--store", store, "2")
+    assert code == 0
+    assert [l for l in out.splitlines() if l.startswith("value")] == ["value 5", "value 9"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Client-side protocol logic: cyclic frame comparisons, insert placement,
 range search, rotation discovery, top-k."""
 
+import math
 import random
 
 import pytest
@@ -22,18 +23,19 @@ from eseds.core import (
     read_values,
     search_range,
     top_k,
-    _rotation_starts,
 )
 from eseds.store import DenseStore
 from eseds.transport import GetRange, Length, LocalSession, decode
 
 from helpers import (
+    bisection_probes,
     brute_match_indices,
     chi_square_uniform_p,
     in_cyclic,
     is_rotation_of_sorted,
     linear_jmax,
     linear_jmin,
+    order_preserving_slots,
     rotation_starts,
 )
 from instancelib import decrypt_all, direct_session, direct_store, insert_all
@@ -206,8 +208,8 @@ def test_search_rejects_out_of_domain(key):
     [
         [2, 2, 2],            # all equal
         [3, 3, 5, 1, 3],      # wrap deeper than one cell: scan path
-        [3, 7, 1, 3],         # wrap by one: patched frame path
-        [1, 3, 3, 7],         # no wrap: plain frame path
+        [3, 7, 1, 3],         # wrap by one: frame s = 1, A = r + 1
+        [1, 3, 3, 7],         # no wrap: frame s = 0, A = r
         [5],                  # singleton
         [4, 4, 4, 4, 1, 2, 4],
     ],
@@ -380,10 +382,49 @@ def test_top_k_splits_a_read_larger_than_one_frame(key, monkeypatch):
     assert session.stats.cells_fetched == (len(sent) - 10) + 25  # probes + the k cells
 
 
+class _ScriptedCoins:
+    """Coins that answer from a script, then 0, recording how many outcomes
+    each call had."""
+
+    def __init__(self, script):
+        self.script, self.arity = script, []
+
+    def bit(self):
+        return self.randrange(2)
+
+    def randrange(self, k):
+        i = len(self.arity)
+        self.arity.append(k)
+        return self.script[i] if i < len(self.script) else 0
+
+
+class _SlotRecorder(LocalSession):
+    """Records the slot of each INSERT_AT and leaves the store as it was."""
+
+    def insert_at(self, l, cell):
+        self.slot = l
+
+
+def _reachable_slots(key, session, m, dom):
+    """Every slot insert can pick for m, over every outcome of its coins."""
+    slots, scripts = set(), [[]]
+    while scripts:
+        script = scripts.pop()
+        coins = _ScriptedCoins(script)
+        insert(key, session, m, dom, coins=coins)
+        slots.add(session.slot)
+        for i in range(len(script), len(coins.arity)):
+            prefix = script + [0] * (i - len(script))
+            scripts += [prefix + [c] for c in range(1, coins.arity[i])]
+    return slots
+
+
 def test_find_rotation_and_top_k_match_oracle_on_every_rotation(key):
     # every rotation, so the boundary run wraps at every depth; the cases
     # cover all-equal stores, one value holding more than 2/3 of the cells
-    # (where galloping may find no other cell) and n = 1, 2 and 3
+    # (where galloping may find no other cell) and n = 1, 2 and 3; search
+    # and insert are checked on the first 40 cases, at r = C[0] and its
+    # neighbours, where the frame's order changes, and at one random value
     rng = random.Random(29)
     cases = [[4], [2, 2], [1, 2], [5, 5, 5], [1, 1, 2], [0, 3, 3], [3] * 9,
              [1] + [6] * 20 + [7], [0, 0] + [5] * 30]
@@ -391,7 +432,7 @@ def test_find_rotation_and_top_k_match_oracle_on_every_rotation(key):
         size = rng.randrange(1, 9)
         weights = [rng.random() ** 3 for _ in range(size)]
         cases.append(sorted(rng.choices(range(size), weights, k=rng.randrange(1, 40))))
-    for ordered in cases:
+    for i, ordered in enumerate(cases):
         dom = Domain(max(ordered) + 1)
         cells = [encrypt(key, v, dom.size).to_bytes() for v in ordered]
         n = len(ordered)
@@ -402,17 +443,37 @@ def test_find_rotation_and_top_k_match_oracle_on_every_rotation(key):
             assert find_rotation(key, session, dom) == (0 if len(starts) == n else starts[0]), values
             k = 1 + w % n
             assert top_k(key, session, k, dom) == ordered[:k], values
+            if i >= 40:
+                continue
+            N, r, x = dom.size, values[0], rng.randrange(dom.size)
+            for a in {r, (r + 1) % N, x}:
+                for b in {(r - 1) % N, r, x}:
+                    got = search_range(key, session, RangeQuery(a, b), dom).indices()
+                    assert set(got) == brute_match_indices(values, a, b, N), (values, a, b)
+            recorder = _SlotRecorder(session.store)
+            for m in {r, x}:
+                # every slot insert can pick keeps the order; ties need not
+                # reach every such slot (an all-equal store takes a new value
+                # at slot 0, a tie met before the wrap stays in the front run)
+                got = {l % n for l in _reachable_slots(key, recorder, m, dom)}
+                assert got and got <= order_preserving_slots(values, m), (values, m)
 
 
-def test_deep_wrapped_top_k_reads_every_cell_in_ranged_runs(key):
+def _deep_wrapped_zipf(key):
+    """n = 10^4 Zipf values over 64, rotated so that index 0 lands mid-run
+    of 0s: C[0] = C[1] = C[n-1] = 0."""
     dom = Domain(64)
     rng = random.Random(44)
     ordered = sorted(rng.choices(range(dom.size), [1 / (v + 1) for v in range(dom.size)], k=10_000))
-    n = len(ordered)
-    w = n - ordered.count(0) // 2  # index 0 lands mid-run of 0s: C[0] = C[1] = C[n-1] = 0
+    w = len(ordered) - ordered.count(0) // 2
     cells = [encrypt(key, v, dom.size).to_bytes() for v in ordered]
     log = []
-    session = LocalSession(DenseStore(cells[-w:] + cells[:-w]), wire_log=log)
+    return dom, ordered, w, LocalSession(DenseStore(cells[-w:] + cells[:-w]), wire_log=log), log
+
+
+def test_deep_wrapped_top_k_reads_every_cell_in_ranged_runs(key):
+    dom, ordered, w, session, log = _deep_wrapped_zipf(key)
+    n = len(ordered)
     assert top_k(key, session, 10, dom) == ordered[:10]
     sent = _requests(log)
     assert len(sent) <= 4 + -(-n // core.READ_RUN)
@@ -420,6 +481,72 @@ def test_deep_wrapped_top_k_reads_every_cell_in_ranged_runs(key):
     assert read == set(range(n))  # the index set of a one-cell scan
     assert GetRange(w, 10) not in sent
     assert session.stats.cells_fetched == n + 3  # the three probes read again
+
+
+def test_deep_wrapped_insert_reads_the_store_in_ranged_runs(key):
+    # inserting 1 bisects into the leading run of 0s, meets r = 0 at an
+    # index >= 1 and takes the fallback: the probes so far, C[n-1] and
+    # C[1], the store in ranged runs, then only local decrypts
+    dom, ordered, _, session, log = _deep_wrapped_zipf(key)
+    n = len(ordered)
+    assert insert(key, session, 1, dom, coins=CoinSource(3)) == n + 1
+    sent = _requests(log)
+    assert GetRange(0, core.READ_RUN) in sent
+    assert len(sent) <= 4 + math.ceil(math.log2(n)) + -(-n // core.READ_RUN) + 2  # 23
+    got = decrypt_all(key, session.store)
+    assert sorted(got) == sorted(ordered + [1])
+    assert sum(x > y for x, y in zip(got, got[1:] + got[:1])) == 1  # a rotation of sorted
+
+
+def test_insert_bisects_on_when_the_leading_run_does_not_wrap(key):
+    # the probe at index 1 meets r = 3, but C[n-1] = 66 != r: the plain
+    # frame is sorted and the bisection goes on instead of reading the store
+    dom = Domain(128)
+    values = [3, 3] + list(range(5, 67))
+    log = []
+    session = LocalSession(direct_store(key, values, dom), wire_log=log)
+    assert insert(key, session, 4, dom, coins=CoinSource(1)) == 65
+    assert len(_requests(log)) <= math.ceil(math.log2(len(values) + 1)) + 4
+    got = decrypt_all(key, session.store)
+    assert sorted(got) == [3, 3, 4] + values[2:] and is_rotation_of_sorted(got)
+
+
+def test_probe_indices_on_distinct_values_follow_a_reference_bisection(key):
+    # distinct values never wrap, so every operation bisects the plain
+    # frame f(x) = (x - r) mod N from index 0; a query ending at r - 1
+    # reaches the top of the frame and needs no second bisection
+    dom = Domain(1 << 16)
+    N = dom.size
+    rng = random.Random(61)
+    for _ in range(40):
+        n = rng.randrange(2, 300)
+        ordered = sorted(rng.sample(range(N), n))
+        w = rng.randrange(n)
+        values = ordered[w:] + ordered[:w]
+        log = []
+        session = LocalSession(direct_store(key, values, dom), wire_log=log)
+        r = values[0]
+        f = [(v - r) % N for v in values]
+
+        def probes():
+            sent = _requests(log)
+            del log[:]
+            return [msg.start for msg in sent if isinstance(msg, GetRange) and msg.count == 1]
+
+        a = rng.randrange(N)
+        for b in (rng.randrange(N), (r - 1) % N):
+            result = search_range(key, session, RangeQuery(a, b), dom)
+            assert set(result.indices()) == brute_match_indices(values, a, b, N)
+            fa, fb = (a - r) % N, (b - r) % N
+            want = [0, n - 1] + bisection_probes(f, fa)
+            want += [] if fb == N - 1 else bisection_probes(f, fb, strict=True)
+            want += [j for segment in result.segments for j in segment]  # the boundary checks
+            assert probes() == list(dict.fromkeys(want)), (values, a, b)
+        assert top_k(key, session, 2, dom) == ordered[:2]
+        assert probes() == list(dict.fromkeys([0, n - 1] + bisection_probes(f, (N - r) % N)))
+        m = rng.choice(sorted(set(range(N)) - set(values)))  # no ties, so no coins
+        insert(key, session, m, dom, coins=CoinSource(0))
+        assert probes() == list(dict.fromkeys([0] + bisection_probes(f, (m - r) % N)))
 
 
 def test_deep_wrap_rejects_a_short_range_read(key):
@@ -430,21 +557,6 @@ def test_deep_wrap_rejects_a_short_range_read(key):
     session = ShortReads(direct_store(key, [3, 3, 5, 1, 3], D8))
     with pytest.raises(ProtocolError):
         top_k(key, session, 2, D8)
-
-
-def test_rotation_starts_matches_brute_force():
-    rng = random.Random(17)
-    cases = [[], [4], [2, 2, 2, 2], [1, 2, 1, 2], [3, 1, 2, 1], [2, 1]]
-    for _ in range(3000):
-        n = rng.randrange(1, 9)
-        ordered = sorted(rng.choices(range(4), k=n))
-        w = rng.randrange(n)
-        cases.append(ordered[w:] + ordered[:w])  # a rotation
-        cases.append([rng.choice(ordered)] * n)  # all equal
-        cases.append(rng.choices(range(4), k=n))  # mostly not a rotation
-    assert sum(not rotation_starts(c) for c in cases) > 1000
-    for values in cases:
-        assert _rotation_starts(values) == rotation_starts(values), values
 
 
 def test_decoupled_reads_between_rebalance_hints_match_oracle(key):
