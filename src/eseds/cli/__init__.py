@@ -98,11 +98,13 @@ def read_keyfile(path: str) -> tuple[SecretKey, Domain]:
 
 
 def _parse_addr(addr: str) -> tuple[str, int]:
-    host, _, port = addr.rpartition(":")
-    if not host:
+    """``host:port``, ``host`` or ``:port``; the host defaults to 127.0.0.1
+    and the port to DEFAULT_PORT."""
+    host, sep, port = addr.rpartition(":")
+    if not sep:
         return addr or "127.0.0.1", DEFAULT_PORT
     try:
-        return host, int(port)
+        return host or "127.0.0.1", int(port)
     except ValueError as exc:
         raise UserError(f"bad address {addr!r}") from exc
 
@@ -128,8 +130,6 @@ def open_session(args, writable: bool = False):
     writers run one after the other; remote ones ask the server to persist
     instead.
     """
-    if args.addr and args.embedded:
-        raise UserError("--addr and --embedded are mutually exclusive")
     if args.addr:
         host, port = _parse_addr(args.addr)
         with TcpSession(host, port) as session:
@@ -144,10 +144,6 @@ def open_session(args, writable: bool = False):
             yield LocalSession(store)
             if writable:
                 store.save(args.store)
-
-
-def _coins(args) -> CoinSource:
-    return CoinSource(args.seed)
 
 
 def _values_arg(raw: list[str]) -> list[int]:
@@ -197,7 +193,7 @@ def cmd_init(args) -> int:
 def cmd_insert(args) -> int:
     values = _values_arg(args.values)
     key, dom = read_keyfile(args.key or default_key_path(args.store))
-    coins = _coins(args)
+    coins = CoinSource(args.seed)
     with open_session(args, writable=True) as session:
         for v in values:
             n = insert(key, session, v, dom, coins=coins)
@@ -232,7 +228,7 @@ def cmd_serve(args) -> int:
     if not os.path.exists(args.store):
         raise UserError(f"store file {args.store} does not exist (run init first)")
     store = store_mod.load(args.store)
-    host, port = _parse_addr(args.addr or f"127.0.0.1:{DEFAULT_PORT}")
+    host, port = _parse_addr(args.addr or "")
     server = serve(store, host=host, port=port, save_path=args.store)
     host, port = server.server_address
     print(f"serving {args.store} on {host}:{port}", flush=True)
@@ -308,76 +304,65 @@ class _Parser(argparse.ArgumentParser):
         raise UserError(message)
 
 
+#: options that several commands take; each command declares only those it reads
+_SHARED = {
+    "--addr": dict(help="server address: host:port, host or :port"),
+    "--store": dict(required=True, help="store file"),
+    "--key": dict(help="keyfile (default: <store>.key)"),
+    "--seed": dict(type=int, help="seed for the random choices (default: unseeded)"),
+    "--out": dict(help="write a machine-readable report here"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="eseds", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, store=True, key=False):
-        p.add_argument("--addr", help="server address host:port (default: embedded)")
-        p.add_argument("--embedded", action="store_true", help="force embedded mode")
-        if store:
-            p.add_argument("--store", required=True, help="store file")
-        if key:
-            p.add_argument("--key", help="keyfile (default: <store>.key)")
-        p.add_argument("--seed", type=int, help="seed for client coins")
-        p.add_argument("--out", help="write a machine-readable report here")
+    def command(name, func, help, *shared):
+        p = sub.add_parser(name, help=help)
+        for option in shared:
+            p.add_argument(option, **_SHARED[option])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("init", help="create an empty store and its keyfile")
-    common(p, key=True)
+    p = command("init", cmd_init, "create an empty store and its keyfile", "--store", "--key")
     p.add_argument("--mode", choices=("dense", "decoupled"), default="dense")
     p.add_argument("--domain-bits", type=int, default=32, help="plaintext domain width in bits")
     p.add_argument("--index-bits", type=int, default=256, help="sparse index width (decoupled)")
-    p.set_defaults(func=cmd_init)
 
-    p = sub.add_parser("insert", help="insert plaintext values")
-    common(p, key=True)
+    p = command("insert", cmd_insert, "insert plaintext values", "--addr", "--store", "--key", "--seed")
     p.add_argument("values", nargs="+", help="values, space or comma separated")
-    p.set_defaults(func=cmd_insert)
 
-    p = sub.add_parser("query", help="range query: indices and values in [a, b]")
-    common(p, key=True)
+    p = command("query", cmd_query, "range query: indices and values in [a, b]", "--addr", "--store", "--key")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
-    p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("topk", help="k smallest values")
-    common(p, key=True)
+    p = command("topk", cmd_topk, "k smallest values", "--addr", "--store", "--key")
     p.add_argument("k", type=int)
-    p.set_defaults(func=cmd_topk)
 
-    p = sub.add_parser("serve", help="serve a store file over TCP")
-    common(p)
-    p.set_defaults(func=cmd_serve)
+    command("serve", cmd_serve, "serve a store file over TCP", "--addr", "--store")
 
-    p = sub.add_parser("rebalance", help="run a full background rebalance pass")
-    common(p)
+    p = command("rebalance", cmd_rebalance, "run a full background rebalance pass", "--addr", "--store")
     p.add_argument("--batch", type=int, default=0, help="entries per hint (0 = whole pass)")
-    p.set_defaults(func=cmd_rebalance)
 
-    p = sub.add_parser("bench", help="synthetic benchmarks on an embedded store")
-    common(p, store=False)
+    p = command("bench", cmd_bench, "synthetic benchmarks on an embedded store", "--seed", "--out")
     p.add_argument("--db-sizes", default="10000")
     p.add_argument("--range-sizes", default="10")
     p.add_argument("--k-values", default="10")
     p.add_argument("--repeats", type=int, default=30)
     p.add_argument("--warmup", type=int, default=10)
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("attack", help="build a target and attack it")
-    common(p, store=False)
+    p = command("attack", cmd_attack, "build a target and attack it", "--seed", "--out")
     p.add_argument("--target", choices=ATTACK_TARGETS, required=True)
     p.add_argument("--attack", choices=ATTACKS, required=True)
     p.add_argument("--n", type=int, default=256, help="multiset size")
     p.add_argument("--domain-size", type=int, default=64, help="plaintext domain size N")
     p.add_argument("--distribution", choices=DISTRIBUTIONS, default="uniform")
-    p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("game", help="empirical distinguishing experiment")
-    common(p, store=False)
+    p = command("game", cmd_game, "empirical distinguishing experiment", "--seed")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--adversary", choices=sorted(ADVERSARIES), required=True)
     p.add_argument("--target", choices=GAME_TARGETS, required=True)
-    p.set_defaults(func=cmd_game)
 
     return parser
 

@@ -89,11 +89,6 @@ class CoinSource:
         return self._rng.randrange(n)
 
 
-def mod_less(x: int, y: int, r: int, dom: Domain) -> bool:
-    """Strict order of x before y in the frame anchored at r."""
-    return (x - r) % dom.size < (y - r) % dom.size
-
-
 def in_cyclic_range(v: int, a: int, b: int, dom: Domain) -> bool:
     """Membership of v in the cyclic inclusive interval [a, b]."""
     return (v - a) % dom.size <= (b - a) % dom.size

@@ -415,7 +415,3 @@ def load_records(src, mode: int, domain_bits: int, count: int):
     if mode == MODE_DECOUPLED:
         return DecoupledStore._load_records(src, domain_bits, count)
     raise ModeError(f"mode {mode} is a legacy transform file, not a cell store")
-
-
-def save(store, sink) -> None:
-    store.save(sink)

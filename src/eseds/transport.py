@@ -11,7 +11,6 @@ protocol at all.
 
 from __future__ import annotations
 
-import os
 import socket
 import socketserver
 import struct
@@ -340,12 +339,26 @@ class SessionStats:
 
 
 class _SessionBase:
-    """Typed helpers shared by both transports."""
+    """The one request path and the typed helpers shared by both transports.
+    A transport supplies only ``_exchange``: one request frame in, one
+    response frame out."""
 
     stats: SessionStats
 
-    def request(self, msg: Message) -> Message:
+    def _exchange(self, frame: bytes) -> bytes:
         raise NotImplementedError
+
+    def request(self, msg: Message) -> Message:
+        out = encode(msg)
+        stats = self.stats
+        stats.requests_sent += 1
+        stats.bytes_on_wire += len(out)
+        frame = self._exchange(out)
+        stats.bytes_on_wire += len(frame)
+        resp = decode(frame)
+        if isinstance(resp, Cells):
+            stats.cells_fetched += len(resp.cells)
+        return resp
 
     def _expect(self, msg: Message, want: type) -> Message:
         resp = self.request(msg)
@@ -386,11 +399,11 @@ class LocalSession(_SessionBase):
     """In-process transport that still runs the full codec both ways, so a
     sequence of operations exercises exactly the bytes TCP would carry."""
 
-    def __init__(self, store_or_server, *, save_path=None, wire_log: list | None = None):
+    def __init__(self, store_or_server, *, wire_log: list | None = None):
         if isinstance(store_or_server, StoreServer):
             self._server = store_or_server
         else:
-            self._server = StoreServer(store_or_server, save_path=save_path)
+            self._server = StoreServer(store_or_server)
         self.stats = SessionStats()
         self.wire_log = wire_log
 
@@ -398,28 +411,17 @@ class LocalSession(_SessionBase):
     def store(self):
         return self._server.store
 
-    def request(self, msg: Message) -> Message:
-        out = encode(msg)
-        self.stats.requests_sent += 1
-        self.stats.bytes_on_wire += len(out)
+    def _exchange(self, frame: bytes) -> bytes:
+        resp = encode(self._server.handle(decode(frame)))
         if self.wire_log is not None:
-            self.wire_log.append(("send", out))
-        resp_frame = encode(self._server.handle(decode(out)))
-        self.stats.bytes_on_wire += len(resp_frame)
-        if self.wire_log is not None:
-            self.wire_log.append(("recv", resp_frame))
-        resp = decode(resp_frame)
-        if isinstance(resp, Cells):
-            self.stats.cells_fetched += len(resp.cells)
+            self.wire_log.extend((("send", frame), ("recv", resp)))
         return resp
 
 
 class TcpSession(_SessionBase):
     """One TCP connection, strict request/response."""
 
-    def __init__(self, host: str | None = None, port: int | None = None):
-        host = host if host is not None else os.environ.get("ESEDS_ADDR", "127.0.0.1")
-        port = port if port is not None else int(os.environ.get("ESEDS_PORT", DEFAULT_PORT))
+    def __init__(self, host: str, port: int):
         self._sock = socket.create_connection((host, port))
         _no_delay(self._sock)
         self.stats = SessionStats()
@@ -433,31 +435,34 @@ class TcpSession(_SessionBase):
     def __exit__(self, *exc):
         self.close()
 
-    def request(self, msg: Message) -> Message:
-        out = encode(msg)
-        self._sock.sendall(out)
-        self.stats.requests_sent += 1
-        self.stats.bytes_on_wire += len(out)
-        header = self._recv_exact(4)
-        (length,) = struct.unpack(">I", header)
-        if length > MAX_FRAME:
-            raise CodecError(f"response length {length} exceeds the 16 MiB cap")
-        frame = header + self._recv_exact(length)
-        self.stats.bytes_on_wire += len(frame)
-        resp = decode(frame)
-        if isinstance(resp, Cells):
-            self.stats.cells_fetched += len(resp.cells)
+    def _exchange(self, frame: bytes) -> bytes:
+        self._sock.sendall(frame)
+        resp = read_frame(self._sock)
+        if resp is None:
+            raise TransportError("connection closed before the response")
         return resp
 
-    def _recv_exact(self, n: int) -> bytes:
-        chunks = []
-        while n:
-            chunk = self._sock.recv(n)
-            if not chunk:
+
+def read_frame(sock: socket.socket) -> bytes | None:
+    """One whole frame from ``sock``, length prefix included, or None when
+    the peer closed cleanly between frames.  Raises CodecError on a declared
+    length over the cap, before reading the body, and TransportError when
+    the peer closes mid-frame."""
+    frame = bytearray()
+    want = 4
+    while len(frame) < want:
+        chunk = sock.recv(want - len(frame))
+        if not chunk:
+            if frame:
                 raise TransportError("connection closed mid-frame")
-            chunks.append(chunk)
-            n -= len(chunk)
-        return b"".join(chunks)
+            return None
+        frame += chunk
+        if want == 4 and len(frame) == 4:
+            (length,) = _U32.unpack(frame)
+            if length > MAX_FRAME:
+                raise CodecError(f"declared length {length} exceeds the 16 MiB cap")
+            want += length
+    return bytes(frame)
 
 
 # ---------------------------------------------------------------------------
@@ -465,45 +470,28 @@ class TcpSession(_SessionBase):
 # ---------------------------------------------------------------------------
 
 
+_REQUESTS = (GetRange, InsertAt, Length, RebalanceHint, Save)
+
+
 class _ConnectionHandler(socketserver.BaseRequestHandler):
     def handle(self):
         sock = self.request
         server: StoreServer = self.server.store_server  # type: ignore[attr-defined]
         while True:
-            header = _recv_exact_or_none(sock, 4)
-            if header is None:
-                return
-            (length,) = struct.unpack(">I", header)
-            if length > MAX_FRAME:
-                sock.sendall(encode(ErrorMsg(E_BAD_REQUEST, "frame exceeds the 16 MiB cap")))
-                return
-            body = _recv_exact_or_none(sock, length)
-            if body is None:
-                return
             try:
-                msg = decode(header + body)
+                frame = read_frame(sock)
+                if frame is None:
+                    return
+                msg = decode(frame)
+                if not isinstance(msg, _REQUESTS):
+                    raise CodecError(f"{type(msg).__name__} is not a request")
             except CodecError as e:
                 # fail-safe: report, then drop the connection; store untouched
                 sock.sendall(encode(ErrorMsg(E_BAD_REQUEST, str(e))))
                 return
-            if not isinstance(msg, (GetRange, InsertAt, Length, RebalanceHint, Save)):
-                sock.sendall(encode(ErrorMsg(E_BAD_REQUEST, f"{type(msg).__name__} is not a request")))
+            except (TransportError, OSError):  # the client left mid-frame or reset
                 return
             sock.sendall(encode(server.handle(msg)))
-
-
-def _recv_exact_or_none(sock: socket.socket, n: int) -> bytes | None:
-    chunks = []
-    while n:
-        try:
-            chunk = sock.recv(n)
-        except OSError:
-            return None
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
 
 
 def _no_delay(sock: socket.socket) -> None:

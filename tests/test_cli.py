@@ -12,9 +12,10 @@ import pytest
 
 import eseds
 from eseds import store as store_mod
-from eseds.cli import main, open_session, read_keyfile
+from eseds.cli import UserError, _parse_addr, main, open_session, read_keyfile
 from eseds.core import CoinSource, insert
 from eseds.store import DenseStore
+from eseds.transport import DEFAULT_PORT
 
 
 def run(capsys, *argv):
@@ -126,7 +127,7 @@ def test_persistence_across_invocations(capsys, store):
 def test_concurrent_writable_sessions_do_not_lose_updates(capsys, store, monkeypatch):
     init(capsys, store)
     key, dom = read_keyfile(store + ".key")
-    args = argparse.Namespace(addr=None, embedded=False, store=store)
+    args = argparse.Namespace(addr=None, store=store)
     events = []
     load, save = store_mod.load, DenseStore.save
     monkeypatch.setattr(store_mod, "load", lambda path: events.append("load") or load(path))
@@ -197,13 +198,61 @@ def test_game_rejects_tiny_trials(capsys):
     assert "error: game:" in err
 
 
-def test_addr_and_embedded_conflict(capsys, store):
-    init(capsys, store)
-    code, _, err = run(
-        capsys, "query", "--store", store, "--addr", "127.0.0.1:1", "--embedded", "0", "1"
-    )
+@pytest.mark.parametrize(
+    "addr, want",
+    [
+        ("example.org:9000", ("example.org", 9000)),
+        ("example.org", ("example.org", DEFAULT_PORT)),
+        (":9000", ("127.0.0.1", 9000)),
+        ("example.org:http", UserError),
+    ],
+)
+def test_parse_addr(addr, want):
+    assert DEFAULT_PORT == 7487
+    if want is UserError:
+        with pytest.raises(UserError):
+            _parse_addr(addr)
+    else:
+        assert _parse_addr(addr) == want
+
+
+#: each command with arguments it accepts, then the shared options it does
+#: not read; --embedded is refused everywhere
+REFUSED = {
+    "init": ([], ["--addr", "--seed", "--out"]),
+    "insert": (["1"], ["--out"]),
+    "query": (["0", "1"], ["--seed", "--out"]),
+    "topk": (["1"], ["--seed", "--out"]),
+    # a port out of range makes serve exit at once instead of serving, were the option accepted
+    "serve": (["--addr", "127.0.0.1:70000"], ["--seed", "--out"]),
+    "rebalance": ([], ["--seed", "--out"]),
+    "bench": (
+        ["--db-sizes", "8", "--range-sizes", "2", "--k-values", "2", "--repeats", "1", "--warmup", "0"],
+        ["--addr"],
+    ),
+    "attack": (["--target", "fhope", "--attack", "sorting", "--n", "16", "--domain-size", "8"], ["--addr"]),
+    "game": (["--trials", "150", "--adversary", "position_guesser", "--target", "fhope"], ["--addr", "--out"]),
+}
+DATA_COMMANDS = ("insert", "query", "topk", "serve", "rebalance")
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(c, o) for c, (_, options) in REFUSED.items() for o in ["--embedded", *options]],
+)
+def test_commands_refuse_options_they_do_not_read(capsys, tmp_path, command, option):
+    path = str(tmp_path / "s.db")
+    argv = [command, *REFUSED[command][0]]
+    if command in DATA_COMMANDS:
+        init(capsys, path, "--mode", "decoupled")  # so that each would succeed, were the option read
+    if command in ("init", *DATA_COMMANDS):
+        argv += ["--store", path]
+    argv += [option, *{"--addr": ["127.0.0.1:1"], "--seed": ["3"], "--out": [str(tmp_path / "out")]}.get(option, [])]
+    code, _, err = run(capsys, *argv)
     assert code == 1
-    assert "mutually exclusive" in err
+    assert err.startswith("error: usage:") and option in err
+    if command == "init":
+        assert not os.path.exists(path)
 
 
 def test_unknown_command_is_user_error(capsys):

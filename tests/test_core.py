@@ -19,7 +19,6 @@ from eseds.core import (
     find_rotation,
     in_cyclic_range,
     insert,
-    mod_less,
     read_values,
     search_range,
     top_k,
@@ -47,23 +46,6 @@ D16 = Domain(16)
 # ---------------------------------------------------------------------------
 # frame arithmetic
 # ---------------------------------------------------------------------------
-
-
-def test_mod_less_pinned_cases():
-    assert mod_less(6, 1, 5, D8) is True  # (6-5)%8=1 < (1-5)%8=4
-    assert mod_less(3, 7, 0, D8) is True  # r=0 reduces to plain <
-    for x in range(8):
-        for r in range(8):
-            assert mod_less(x, x, r, D8) is False
-
-
-def test_mod_less_matches_direct_formula():
-    rng = random.Random(1)
-    for _ in range(500):
-        n = rng.randrange(2, 40)
-        dom = Domain(n)
-        x, y, r = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        assert mod_less(x, y, r, dom) == ((x - r) % n < (y - r) % n)
 
 
 def test_in_cyclic_range_matches_oracle():

@@ -27,7 +27,6 @@ from eseds.store import (
     StoreError,
     StoreFull,
     load,
-    save,
 )
 
 from eseds.transforms import build_det, build_fhope, build_ope
@@ -321,7 +320,7 @@ def test_dense_save_load_round_trip(tmp_path):
     st = DenseStore(cells(9, 8, 7), rng=random.Random(2))
     st.insert_at(0, b"YY")
     path = tmp_path / "d.store"
-    save(st, path)
+    st.save(path)
     loaded = load(path)
     assert loaded.mode == MODE_DENSE
     assert loaded == st
@@ -331,7 +330,7 @@ def test_dense_save_load_round_trip(tmp_path):
 def test_decoupled_save_load_round_trip(tmp_path):
     st = _spaced_store(9)
     path = tmp_path / "s.store"
-    save(st, path)
+    st.save(path)
     loaded = load(path)
     assert loaded.mode == MODE_DECOUPLED
     assert loaded == st
@@ -341,7 +340,7 @@ def test_decoupled_save_load_round_trip(tmp_path):
 def test_save_load_stream_round_trip():
     st = DenseStore(cells(1, 2))
     buf = io.BytesIO()
-    save(st, buf)
+    st.save(buf)
     buf.seek(0)
     assert load(buf) == st
 
@@ -360,7 +359,7 @@ def test_load_rejects_bad_version():
 def test_load_rejects_truncation_and_trailing():
     st = DenseStore(cells(1, 2, 3))
     buf = io.BytesIO()
-    save(st, buf)
+    st.save(buf)
     blob = buf.getvalue()
     with pytest.raises(FormatError):
         load(io.BytesIO(blob[:-2]))
@@ -371,7 +370,7 @@ def test_load_rejects_truncation_and_trailing():
 def test_load_rejects_transform_modes():
     st = DenseStore(cells(1))
     buf = io.BytesIO()
-    save(st, buf)
+    st.save(buf)
     blob = bytearray(buf.getvalue())
     blob[8] = 3  # mode byte inside the header
     with pytest.raises(ModeError):
@@ -381,7 +380,7 @@ def test_load_rejects_transform_modes():
 def test_decoupled_load_rejects_non_increasing(tmp_path):
     st = _spaced_store(3)
     path = tmp_path / "bad.store"
-    save(st, path)
+    st.save(path)
     blob = bytearray(path.read_bytes())
     # overwrite the second sparse index with the first one's value
     width = st.domain_bits // 8
@@ -455,7 +454,7 @@ def test_saved_file_matches_reference_encoder(tmp_path, key, case):
 def test_failed_save_leaves_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "d.store"
     old = DenseStore(cells(1, 2, 3))
-    save(old, path)
+    old.save(path)
     before = path.read_bytes()
     write_records = store_mod.write_records
 
@@ -465,7 +464,7 @@ def test_failed_save_leaves_previous_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(store_mod, "write_records", fail_midway)
     with pytest.raises(OSError, match="disk full"):
-        save(DenseStore(cells(4, 5, 6, 7)), path)
+        DenseStore(cells(4, 5, 6, 7)).save(path)
     assert path.read_bytes() == before
     assert load(path) == old
     assert os.listdir(tmp_path) == ["d.store"]
@@ -473,11 +472,11 @@ def test_failed_save_leaves_previous_file(tmp_path, monkeypatch):
 
 def test_save_keeps_permission_bits_and_symlinks(tmp_path):
     path = tmp_path / "d.store"
-    save(DenseStore(cells(1)), path)
+    DenseStore(cells(1)).save(path)
     os.chmod(path, 0o640)
     link = tmp_path / "link.store"
     link.symlink_to(path)
-    save(DenseStore(cells(2)), link)
+    DenseStore(cells(2)).save(link)
     assert link.is_symlink()
     assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
     assert load(path) == DenseStore(cells(2))

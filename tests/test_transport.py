@@ -13,7 +13,6 @@ from eseds.cipher import Ciphertext, decrypt
 from eseds.core import CoinSource, Domain, RangeQuery, insert, search_range
 from eseds.store import DecoupledStore, DenseStore
 from eseds.transport import (
-    DEFAULT_PORT,
     MAX_FRAME,
     Cells,
     CodecError,
@@ -279,6 +278,7 @@ def test_tcp_matches_local(layout, key):
         want = search_range(key, local, RangeQuery(2, 9), dom)
         assert got == want
         assert remote.length() == local.length() == 5
+        assert remote.stats == local.stats  # one request path counts both transports
 
 
 def test_tcp_error_frames_surface_as_server_errors(tcp_server):
@@ -349,14 +349,53 @@ def test_tcp_sockets_send_without_delay():
         server.server_close()
 
 
-def test_tcp_session_env_defaults(tcp_server, monkeypatch):
+def _read_until_closed(sock) -> bytes:
+    chunks = []
+    while chunk := sock.recv(1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def test_tcp_server_refuses_a_declared_length_over_the_cap(tcp_server, monkeypatch):
     server, _ = tcp_server
-    host, port = server.server_address
-    monkeypatch.setenv("ESEDS_ADDR", host)
-    monkeypatch.setenv("ESEDS_PORT", str(port))
-    with TcpSession() as session:  # address comes from the environment
-        assert session.length() == 0
-    assert DEFAULT_PORT == 7487
+    monkeypatch.setattr(transport, "MAX_FRAME", 100)
+    with socket.create_connection(server.server_address, timeout=5) as sock:
+        sock.sendall((101).to_bytes(4, "big"))  # the body is never sent
+        msg = decode(_read_until_closed(sock))
+    assert isinstance(msg, ErrorMsg) and msg.code == 1
+
+
+@contextlib.contextmanager
+def _answering(reply: bytes):
+    """A peer that reads one request, answers with raw ``reply`` bytes and
+    closes; yields its address."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(1 << 16)
+            conn.sendall(reply)
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        thread.join(5)
+        listener.close()
+
+
+def test_tcp_session_rejects_a_response_over_the_cap():
+    with _answering((MAX_FRAME + 1).to_bytes(4, "big")) as addr, TcpSession(*addr) as session:
+        with pytest.raises(CodecError, match="exceeds"):
+            session.length()
+
+
+def test_tcp_session_reports_a_server_that_closes_mid_frame():
+    with _answering(encode(Len(7))[:6]) as addr, TcpSession(*addr) as session:
+        with pytest.raises(TransportError, match="mid-frame"):
+            session.length()
 
 
 # ---------------------------------------------------------------------------
