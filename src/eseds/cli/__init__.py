@@ -137,6 +137,8 @@ def open_session(args, writable: bool = False):
             if writable:
                 session.save()
     else:
+        if not args.store:
+            raise UserError("--store is required without --addr")
         if not os.path.exists(args.store):
             raise UserError(f"store file {args.store} does not exist (run init first)")
         with _store_lock(args.store) if writable else contextlib.nullcontext():
@@ -342,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("serve", cmd_serve, "serve a store file over TCP", "--addr", "--store")
 
-    p = command("rebalance", cmd_rebalance, "run a full background rebalance pass", "--addr", "--store")
+    p = command("rebalance", cmd_rebalance, "run a full background rebalance pass", "--addr")
+    p.add_argument("--store", help="store file (required without --addr)")
     p.add_argument("--batch", type=int, default=0, help="entries per hint (0 = whole pass)")
 
     p = command("bench", cmd_bench, "synthetic benchmarks on an embedded store", "--seed", "--out")

@@ -5,7 +5,8 @@ cyclic rotation of the sorted multiset of inserted values.  The client keeps
 no state between operations; every operation rediscovers what it needs by
 fetching cells and decrypting them locally.  Binary-search probes read one
 cell per request; top-k and the read-back of a search result read each run
-of consecutive cells with one GET_RANGE.
+of consecutive cells with one GET_RANGE.  A run arrives as one block of
+bytes, and a cell is sliced out of it only when it is decrypted.
 
 Every order comparison happens in one reading frame (s, A), found by
 _frame: read cyclically from index s, the cells are sorted under
@@ -13,13 +14,13 @@ g(x) = (x - A) mod N.  With r = Dec(C[0]) the frame is s = 0, A = r unless
 the run of r-cells wraps past the end of the array (C[n-1] = r).  Then
 A = r + 1, so that r sorts last, and s is the first index that does not
 hold r: 1 when C[1] != r, otherwise (a deep wrap) the client reads the
-store in ranged runs of READ_RUN cells and finds s with O(log n) local
-decrypts.  Search bisects g over indices s..n-1; top-k, the find_* lookups
-and an insert that meets a wrapped run start from the rotation the frame
-gives.  Search and insert are O(log n) probes except on a deep wrap: a
-deep-wrap search still filters every cell with one-cell reads, and an
-insert that meets one reads the whole store in ranges.  On distinct values
-no run wraps.
+store in ranged runs of READ_RUN cells, keeps them as one block and finds
+s with O(log n) local decrypts.  Search bisects g over indices s..n-1;
+top-k, the find_* lookups and an insert that meets a wrapped run start from
+the rotation the frame gives.  Search and insert are O(log n) probes
+except on a deep wrap: a deep-wrap search still filters every cell with
+one-cell reads, and an insert that meets one reads the whole store in
+ranges.  On distinct values no run wraps.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def in_cyclic_range(v: int, a: int, b: int, dom: Domain) -> bool:
 
 
 #: cells per GET_RANGE when an operation reads the whole store; the runs
-#: bound the size of each frame and of each decoded batch of cells
+#: bound the size of each frame
 READ_RUN = 4096
 
 
@@ -103,39 +104,48 @@ class _OpView:
     """Per-operation cell reader.  ``value`` caches each probed index, so a
     distinct index costs one one-cell GET_RANGE; ``values`` reads a run of
     cells with one GET_RANGE per frame and caches nothing.  After
-    ``read_all`` the view is local: it holds every cell's bytes, and both
-    decrypt from them on demand without sending a request."""
+    ``read_all`` the view is local: it holds every cell's bytes as one
+    block of n * CELL_LEN bytes, and both slice a cell out of it only to
+    decrypt it, without sending a request."""
 
     def __init__(self, key: SecretKey, session, dom: Domain):
         self._key = key
         self._session = session
         self._dom = dom
         self._values: dict[int, int] = {}
-        self._cells: list[bytes] | None = None
+        self._block: bytes | None = None
 
     def read_all(self, n: int) -> None:
         """Fetch all ``n`` cells in index order, READ_RUN cells per GET_RANGE."""
-        cells: list[bytes] = []
-        for start in range(0, n, READ_RUN):
-            cells += self._session.get_range(start, min(READ_RUN, n - start), n, CELL_LEN)
-        if len(cells) != n:
-            raise ProtocolError(f"read {len(cells)} cells from a store of {n}")
-        self._cells = cells
+        block = b"".join(
+            self._session.get_range(start, min(READ_RUN, n - start), n, CELL_LEN)
+            for start in range(0, n, READ_RUN)
+        )
+        if len(block) != n * CELL_LEN:
+            raise ProtocolError(f"read {len(block)} bytes from a store of {n} cells")
+        self._block = block
 
     def value(self, j: int) -> int:
         if j not in self._values:
-            cell = self._session.get_cell(j) if self._cells is None else self._cells[j]
+            if self._block is None:
+                cell = self._session.get_cell(j, CELL_LEN)
+            else:
+                cell = self._block[j * CELL_LEN : (j + 1) * CELL_LEN]
             self._values[j] = self._decrypt(j, cell)
         return self._values[j]
 
     def values(self, start: int, count: int, n: int) -> list[int]:
         """Values of ``count`` cells read cyclically from ``start`` of an
         ``n``-cell store."""
-        if self._cells is None:
-            cells = self._session.get_range(start, count, n, CELL_LEN)
+        if self._block is None:
+            block, first = self._session.get_range(start, count, n, CELL_LEN), 0
         else:
-            cells = [self._cells[(start + i) % n] for i in range(count)]
-        return [self._decrypt((start + i) % n, cell) for i, cell in enumerate(cells)]
+            block, first = self._block, start
+        out = []
+        for i in range(count):
+            j = (first + i) % n
+            out.append(self._decrypt((start + i) % n, block[j * CELL_LEN : (j + 1) * CELL_LEN]))
+        return out
 
     def _decrypt(self, j: int, cell: bytes) -> int:
         v = decrypt(self._key, cell)

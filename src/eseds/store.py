@@ -1,12 +1,12 @@
 """Server-side state: cell arrays, the sparse-index decoupled layout, persistence.
 
 The server never interprets cell contents.  Cells are opaque byte strings
-handed over by the client; the only structure the server maintains is their
-order.  Both stores take the same insert, ``insert_at(l, cell)`` at logical
-slot ``0 <= l <= n``, and lay the cells out their own way (dense mode: an
-array with shift-insert plus a fresh random rotation per insert; decoupled
-mode: an ordered map from sparse indices to cells with midpoint insertion
-and a background rebalancer).
+handed over by the client, all of one width per store; the only structure
+the server maintains is their order.  Both stores take the same insert,
+``insert_at(l, cell)`` at logical slot ``0 <= l <= n``, and lay the cells
+out their own way (dense mode: an array with shift-insert plus a fresh
+random rotation per insert; decoupled mode: an ordered map from sparse
+indices to cells with midpoint insertion and a background rebalancer).
 
 A decoupled rebalance pass is built beside the live entries and swapped in
 by its last step, so reads between steps see the pre-pass order.
@@ -409,9 +409,15 @@ def load(source):
 
 def load_records(src, mode: int, domain_bits: int, count: int):
     """The dense or decoupled store whose records follow a header already
-    read from ``src``; the one parser of cell-store records."""
+    read from ``src``; the one parser of cell-store records.  Every cell of
+    a store has one width of at least one byte."""
     if mode == MODE_DENSE:
-        return DenseStore._load_records(src, count)
-    if mode == MODE_DECOUPLED:
-        return DecoupledStore._load_records(src, domain_bits, count)
-    raise ModeError(f"mode {mode} is a legacy transform file, not a cell store")
+        store = DenseStore._load_records(src, count)
+    elif mode == MODE_DECOUPLED:
+        store = DecoupledStore._load_records(src, domain_bits, count)
+    else:
+        raise ModeError(f"mode {mode} is a legacy transform file, not a cell store")
+    widths = set(map(len, store.logical_cells()))
+    if len(widths) > 1 or 0 in widths:
+        raise FormatError(f"cells differ in width or are empty: widths {min(widths)}..{max(widths)}")
+    return store

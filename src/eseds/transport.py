@@ -2,11 +2,12 @@
 
 Frame layout: u32 big-endian length ‖ u8 opcode ‖ payload, where the length
 covers opcode + payload.  All integers on the wire are big-endian.  Cells are
-opaque length-prefixed byte strings.  The store's layout (dense or
-decoupled) stays on the server: every request means the same on both.  No
-frame may exceed 16 MiB: the server refuses a GET_RANGE whose answer would,
-and the client splits larger reads.  Key material has no encoding in this
-protocol at all.
+opaque byte strings of one width per store, so a range of them travels as
+one block: the width, then the cells back to back.  The store's layout
+(dense or decoupled) stays on the server: every request means the same on
+both.  No frame may exceed 16 MiB: the server refuses a GET_RANGE whose
+answer would, and the client splits larger reads.  Key material has no
+encoding in this protocol at all.
 """
 
 from __future__ import annotations
@@ -113,7 +114,10 @@ class ErrorMsg:
 
 @dataclass(frozen=True, slots=True)
 class Cells:
-    cells: tuple[bytes, ...]
+    """Cells of ``width`` bytes each, back to back in ``data``."""
+
+    width: int
+    data: bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,10 +151,9 @@ def encode(msg: Message) -> bytes:
     if isinstance(msg, GetRange):
         body = _GET_RANGE.pack(GET_RANGE, msg.start, msg.count)
     elif isinstance(msg, Cells):
-        parts = [_CELLS.pack(CELLS, len(msg.cells))]
-        for cell in msg.cells:
-            parts += (_U32.pack(len(cell)), cell)
-        body = b"".join(parts)
+        if msg.width < 1 or len(msg.data) % msg.width:
+            raise CodecError(f"{len(msg.data)} bytes are not whole cells of width {msg.width}")
+        body = _CELLS.pack(CELLS, msg.width) + msg.data
     elif isinstance(msg, InsertAt):
         body = bytes([INSERT_AT]) + _u64(msg.l) + _blob(msg.cell)
     elif isinstance(msg, Length):
@@ -208,21 +211,13 @@ class _Reader:
     def blob(self) -> bytes:
         return self.take(self.u32())
 
-    def blobs(self) -> tuple[bytes, ...]:
-        """A u32 count, then that many blobs."""
-        (count,) = self.unpack(_U32)
-        buf, pos, end = self._buf, self._pos, len(self._buf)
-        out = []
-        for _ in range(count):  # inlined blob(): this loop decodes every cell read
-            if pos + 4 > end:
-                raise CodecError("truncated frame")
-            (size,) = _U32.unpack_from(buf, pos)
-            pos += 4 + size
-            if pos > end:
-                raise CodecError("truncated frame")
-            out.append(buf[pos - size : pos])
-        self._pos = pos
-        return tuple(out)
+    def cells(self) -> Cells:
+        """A u32 width, then the rest of the frame as whole cells of it."""
+        width = self.u32()
+        data = self.take(len(self._buf) - self._pos)
+        if width == 0 or len(data) % width:
+            raise CodecError(f"{len(data)} bytes are not whole cells of width {width}")
+        return Cells(width, data)
 
     def done(self) -> None:
         if self._pos != len(self._buf):
@@ -244,7 +239,7 @@ def decode(frame: bytes) -> Message:
     if opcode == GET_RANGE:
         msg = GetRange(*r.unpack(_U64X2))
     elif opcode == CELLS:
-        msg = Cells(r.blobs())
+        msg = r.cells()
     elif opcode == INSERT_AT:
         msg = InsertAt(r.u64(), r.blob())
     elif opcode == LENGTH:
@@ -305,11 +300,17 @@ class StoreServer:
         store = self.store
         if isinstance(msg, GetRange):
             cells = store.get_range(msg.start, msg.count)
-            size = 5 + 4 * len(cells) + sum(map(len, cells))  # opcode, count, blobs
+            width, data = len(cells[0]), b"".join(cells)
+            if not width or len(data) != width * len(cells):
+                return ErrorMsg(E_INTERNAL, "the store's cells differ in width")
+            size = 5 + len(data)  # opcode, width, cells
             if size > MAX_FRAME:
                 return ErrorMsg(E_BAD_REQUEST, f"{msg.count} cells need a {size}-byte frame, over the cap")
-            return Cells(tuple(cells))
+            return Cells(width, data)
         if isinstance(msg, InsertAt):
+            width = len(store.get_cell(0)) if len(store) else len(msg.cell)
+            if not width or len(msg.cell) != width:
+                return ErrorMsg(E_BAD_REQUEST, f"a {len(msg.cell)}-byte cell in a store of {width}-byte cells")
             store.insert_at(msg.l, msg.cell)
             return Ok()
         if isinstance(msg, Length):
@@ -357,7 +358,7 @@ class _SessionBase:
         stats.bytes_on_wire += len(frame)
         resp = decode(frame)
         if isinstance(resp, Cells):
-            stats.cells_fetched += len(resp.cells)
+            stats.cells_fetched += len(resp.data) // resp.width
         return resp
 
     def _expect(self, msg: Message, want: type) -> Message:
@@ -368,18 +369,28 @@ class _SessionBase:
             raise TransportError(f"expected {want.__name__}, got {type(resp).__name__}")
         return resp
 
-    def get_cell(self, j: int) -> bytes:
-        return self._expect(GetRange(j, 1), Cells).cells[0]
+    def _cells(self, msg: GetRange, cell_len: int) -> bytes:
+        resp = self._expect(msg, Cells)
+        if resp.width != cell_len or len(resp.data) != msg.count * cell_len:
+            raise TransportError(
+                f"asked for {msg.count} cells of {cell_len} bytes, got {len(resp.data)} bytes "
+                f"of {resp.width}-byte cells"
+            )
+        return resp.data
 
-    def get_range(self, start: int, count: int, n: int, cell_len: int) -> list[bytes]:
+    def get_cell(self, j: int, cell_len: int) -> bytes:
+        """The ``cell_len`` bytes of cell ``j``."""
+        return self._cells(GetRange(j, 1), cell_len)
+
+    def get_range(self, start: int, count: int, n: int, cell_len: int) -> bytes:
         """``count`` cells of ``cell_len`` bytes read cyclically from index
-        ``start`` of an ``n``-cell store, in as few GET_RANGE requests as
-        the frame cap allows."""
-        per = max(1, (MAX_FRAME - 5) // (4 + cell_len))
-        out: list[bytes] = []
-        for off in range(0, count, per):
-            out += self._expect(GetRange((start + off) % n, min(per, count - off)), Cells).cells
-        return out
+        ``start`` of an ``n``-cell store, back to back, in as few GET_RANGE
+        requests as the frame cap allows."""
+        per = max(1, (MAX_FRAME - 5) // cell_len)
+        return b"".join(
+            self._cells(GetRange((start + off) % n, min(per, count - off)), cell_len)
+            for off in range(0, count, per)
+        )
 
     def insert_at(self, l: int, cell: bytes) -> None:
         self._expect(InsertAt(l, cell), Ok)

@@ -462,6 +462,12 @@ def test_criterion_10_search_flat_topk_linear(capsys):
 # ---------------------------------------------------------------------------
 
 
+def _random_cells(rng):
+    """A CELLS message: one width in 1..79, then 0 to 3 cells of it."""
+    width = rng.randrange(1, 80)
+    return Cells(width, rng.randbytes(width * rng.randrange(4)))
+
+
 def test_criterion_11_persistence_and_codec_round_trips(capsys, tmp_path):
     failures = []
     rng = random.Random(0x11C0DEC)
@@ -499,7 +505,7 @@ def test_criterion_11_persistence_and_codec_round_trips(capsys, tmp_path):
                 Length(),
                 RebalanceHint(rng.randrange(1 << 16)),
                 Save(),
-                Cells(tuple(rng.randbytes(rng.randrange(80)) for _ in range(rng.randrange(4)))),
+                _random_cells(rng),
                 Ok(rng.randbytes(rng.randrange(4))),
                 Len(rng.randrange(1 << 64)),
                 ErrorMsg(rng.randrange(1 << 16), "e" * rng.randrange(32)),

@@ -15,7 +15,7 @@ from eseds import store as store_mod
 from eseds.cli import UserError, _parse_addr, main, open_session, read_keyfile
 from eseds.core import CoinSource, insert
 from eseds.store import DenseStore
-from eseds.transport import DEFAULT_PORT
+from eseds.transport import DEFAULT_PORT, serve
 
 
 def run(capsys, *argv):
@@ -113,6 +113,26 @@ def test_decoupled_lifecycle_with_rebalance(capsys, store):
     assert "rebalanced in" in out
     code, out, _ = run(capsys, "query", "--store", store, "1", "8")
     assert code == 0 and "count 3" in out
+
+
+def test_rebalance_over_addr_needs_no_store(capsys, store):
+    init(capsys, store, "--mode", "decoupled", "--index-bits", "16")
+    run(capsys, "insert", "--store", store, "--seed", "2", "8,1,5")
+    server = serve(store_mod.load(store), port=0, save_path=store)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address
+        code, out, err = run(capsys, "rebalance", "--addr", f"{host}:{port}", "--batch", "1")
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(10)
+    assert code == 0, err
+    assert "rebalanced in" in out
+    code, _, err = run(capsys, "rebalance", "--batch", "1")  # embedded: the file is needed
+    assert code == 1
+    assert err.startswith("error: usage:") and "--store" in err
 
 
 def test_persistence_across_invocations(capsys, store):

@@ -355,8 +355,8 @@ def test_top_k_splits_a_read_larger_than_one_frame(key, monkeypatch):
     cells = [encrypt(key, v, dom.size).to_bytes() for v in sorted(values)]
     log = []
     session = LocalSession(DenseStore(cells[20:] + cells[:20]), wire_log=log)
-    # room for 3 cells of 36 bytes per CELLS frame (opcode, count, blobs)
-    monkeypatch.setattr(transport, "MAX_FRAME", 5 + 3 * (4 + 36))
+    # room for 3 cells of 36 bytes per CELLS frame (opcode, width, cells)
+    monkeypatch.setattr(transport, "MAX_FRAME", 5 + 3 * 36)
     assert top_k(key, session, 25, dom) == sorted(values)[:25]
     sent = _requests(log)
     starts = [(10 + 3 * i) % 30 for i in range(9)]

@@ -318,7 +318,7 @@ def test_rebalance_too_full():
 
 def test_dense_save_load_round_trip(tmp_path):
     st = DenseStore(cells(9, 8, 7), rng=random.Random(2))
-    st.insert_at(0, b"YY")
+    st.insert_at(0, b"YYYY")
     path = tmp_path / "d.store"
     st.save(path)
     loaded = load(path)
@@ -375,6 +375,19 @@ def test_load_rejects_transform_modes():
     blob[8] = 3  # mode byte inside the header
     with pytest.raises(ModeError):
         load(io.BytesIO(bytes(blob)))
+
+
+@pytest.mark.parametrize("widths", [(4, 4, 2), (4, 5), (0, 0)])
+def test_load_rejects_cells_of_more_than_one_width_or_none(widths):
+    dense = DenseStore([bytes([7]) * w for w in widths])
+    decoupled = DecoupledStore(index_bits=16)
+    for i, w in enumerate(widths):
+        decoupled.insert_at(i, bytes([7]) * w)
+    for st in (dense, decoupled):
+        buf = io.BytesIO()
+        st.save(buf)
+        with pytest.raises(FormatError, match="width"):
+            load(io.BytesIO(buf.getvalue()))
 
 
 def test_decoupled_load_rejects_non_increasing(tmp_path):

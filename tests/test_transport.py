@@ -7,6 +7,8 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eseds import transport
 from eseds.cipher import Ciphertext, decrypt
@@ -45,9 +47,9 @@ MESSAGES = [
     Save(),
     ErrorMsg(2, "rank 9 out of range"),
     ErrorMsg(1, ""),
-    Cells((b"\x00" * 36,)),
-    Cells((b"a" * 36, b"", b"bc", b"")),
-    Cells(()),
+    Cells(36, b"\x00" * 36),
+    Cells(4, b"a" * 36 + b"bc\x00\x00"),
+    Cells(36, b""),
     Ok(b""),
     Ok(b"\x01"),
     Len(0),
@@ -100,15 +102,16 @@ def test_decode_rejects_trailing_payload():
 
 
 def test_decode_rejects_truncated_or_trailing_cells():
-    body = encode(Cells((b"ab", b"")))[4:]
-    assert body == b"\x21" + b"\x00\x00\x00\x02" + b"\x00\x00\x00\x02ab" + b"\x00\x00\x00\x00"
+    body = encode(Cells(2, b"abcd"))[4:]
+    assert body == b"\x21" + b"\x00\x00\x00\x02" + b"ab" + b"cd"
     bad = [
-        body[:3],  # count cut short
-        body[:-4],  # second blob missing
-        body[:-5],  # first blob short of its payload
-        b"\x21\x00\x00\x00\x03" + body[5:],  # count claims one blob more
+        body[:3],  # width cut short
+        body[:-1],  # second cell short of its payload
+        body[:-3],  # first cell short of its payload
+        b"\x21\x00\x00\x00\x03" + body[5:],  # width claims one byte more per cell
         body + b"\x00",  # trailing byte
-        b"\x21\x00\x00\x00\x01" + body[5:],  # count claims one blob less
+        b"\x21\x00\x00\x00\x00" + body[5:],  # width 0
+        b"\x21\x00\x00\x00\x05" + body[5:],  # width larger than the body
     ]
     for frame in map(_frame, bad):
         with pytest.raises(CodecError):
@@ -134,15 +137,21 @@ def test_get_range_reads_cyclically_from_dense_and_decoupled_stores():
         server, logical = StoreServer(store), store.logical_cells()
         for start in range(5):
             for count in range(1, 6):
-                want = tuple(logical[(start + i) % 5] for i in range(count))
-                assert server.handle(GetRange(start, count)) == Cells(want)
-    assert StoreServer(dense).handle(GetRange(3, 4)) == Cells((b"b", b"c", b"d", b"e"))
-    assert StoreServer(decoupled).handle(GetRange(4, 2)) == Cells((b"t", b"p"))
+                want = b"".join(logical[(start + i) % 5] for i in range(count))
+                assert server.handle(GetRange(start, count)) == Cells(1, want)
+    assert StoreServer(dense).handle(GetRange(3, 4)) == Cells(1, b"bcde")
+    assert StoreServer(decoupled).handle(GetRange(4, 2)) == Cells(1, b"tp")
 
 
 def test_encode_rejects_oversized():
     with pytest.raises(CodecError):
-        encode(Cells((b"x" * (MAX_FRAME + 1),)))
+        encode(Cells(MAX_FRAME + 1, b"x" * (MAX_FRAME + 1)))
+
+
+def _random_cells(rng, widths, counts):
+    """A CELLS message: one width drawn from ``widths``, 0 to counts-1 cells."""
+    width = rng.choice(widths)
+    return Cells(width, rng.randbytes(width * rng.randrange(counts)))
 
 
 def test_random_frame_round_trips():
@@ -153,11 +162,68 @@ def test_random_frame_round_trips():
                 GetRange(rng.randrange(1 << 64), rng.randrange(1 << 64)),
                 InsertAt(rng.randrange(1 << 32), rng.randbytes(rng.randrange(64))),
                 ErrorMsg(rng.randrange(1 << 16), "x" * rng.randrange(40)),
-                Cells(tuple(rng.randbytes(rng.choice((0, 36))) for _ in range(rng.randrange(5)))),
+                _random_cells(rng, (1, 36), 5),
                 Len(rng.randrange(1 << 64)),
             ]
         )
         assert decode(encode(msg)) == msg
+
+
+def _decodes_or_codec_error(frame: bytes) -> None:
+    try:
+        msg = decode(frame)
+    except CodecError:
+        return
+    assert isinstance(msg, (GetRange, InsertAt, Length, RebalanceHint, Save, ErrorMsg, Cells, Ok, Len))
+    assert encode(msg) == frame  # a frame that decodes is the one encoding of its message
+
+
+_CELLS_BODIES = st.builds(
+    lambda width, data: b"\x21" + width.to_bytes(4, "big") + data,
+    st.integers(0, 80) | st.integers(0, (1 << 32) - 1),
+    st.binary(max_size=200),
+)
+_OPCODES = [
+    transport.GET_RANGE, transport.INSERT_AT, transport.LENGTH, transport.REBALANCE_HINT, transport.SAVE,
+    transport.ERROR, transport.CELLS, transport.OK, transport.LEN,
+]
+_BODIES = (
+    st.builds(lambda op, rest: bytes([op]) + rest, st.sampled_from(_OPCODES), st.binary(max_size=64))
+    | _CELLS_BODIES
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.binary(max_size=128) | _BODIES.map(_frame))
+def test_decode_of_any_bytes_returns_a_message_or_raises_codec_error(frame):
+    _decodes_or_codec_error(frame)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.sampled_from(MESSAGES), st.data())
+def test_decode_of_a_damaged_valid_frame_returns_a_message_or_raises_codec_error(msg, data):
+    frame = encode(msg)
+    cut = data.draw(st.integers(0, len(frame)))
+    _decodes_or_codec_error(frame[:cut])  # truncated
+    _decodes_or_codec_error(frame + data.draw(st.binary(min_size=1, max_size=40)))  # extended
+    body = frame[4:] + data.draw(st.binary(max_size=40))
+    _decodes_or_codec_error(_frame(body))  # extended, length prefix kept consistent
+    at = data.draw(st.integers(0, len(frame) - 1))
+    flipped = bytearray(frame)
+    flipped[at] ^= data.draw(st.integers(1, 255))
+    _decodes_or_codec_error(bytes(flipped))
+
+
+def test_cells_bodies_of_width_zero_or_partial_cells_are_codec_errors():
+    for body in (
+        b"\x21" + bytes(4),  # width 0, no cells
+        b"\x21" + bytes(4) + b"ab",  # width 0 with data
+        b"\x21" + (5).to_bytes(4, "big") + b"abc",  # width larger than the body
+        b"\x21" + (2).to_bytes(4, "big") + b"abc",  # a partial last cell
+    ):
+        with pytest.raises(CodecError):
+            decode(_frame(body))
+    assert decode(_frame(b"\x21" + (3).to_bytes(4, "big"))) == Cells(3, b"")
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +236,11 @@ def test_server_roundtrip_and_errors(tmp_path):
     server = StoreServer(store, save_path=str(tmp_path / "s.store"))
     assert server.handle(Length()) == Len(0)
     assert isinstance(server.handle(InsertAt(0, b"abc")), Ok)
-    assert server.handle(GetRange(0, 1)) == Cells((b"abc",))
+    assert server.handle(GetRange(0, 1)) == Cells(3, b"abc")
 
     resp = server.handle(GetRange(5, 1))
     assert isinstance(resp, ErrorMsg) and resp.code == 2  # out of range
-    resp = server.handle(InsertAt(2, b"x"))
+    resp = server.handle(InsertAt(2, b"xyz"))
     assert isinstance(resp, ErrorMsg) and resp.code == 2  # slot past the end
     resp = server.handle(RebalanceHint(0))
     assert isinstance(resp, ErrorMsg) and resp.code == 3  # wrong mode
@@ -200,17 +266,70 @@ def test_server_rebalance_hint_done_flag():
     assert [b - a for a, b in zip(idx, idx[1:])] == [(1 << 16) // 4] * 2
 
 
+def _stores_of_36_byte_cells():
+    dense = DenseStore([bytes([i]) * 36 for i in range(3)], rng=random.Random(8))
+    decoupled = DecoupledStore(index_bits=16, rng=random.Random(8))
+    for i in range(3):
+        decoupled.insert_at(i, bytes([i]) * 36)
+    return dense, decoupled
+
+
+@pytest.mark.parametrize("cell", [b"x" * 35, b""], ids=["35 bytes", "empty"])
+def test_insert_of_another_width_is_refused_and_changes_nothing(cell):
+    for store in _stores_of_36_byte_cells():
+        before = store.logical_cells()
+        resp = StoreServer(store).handle(InsertAt(1, cell))
+        assert isinstance(resp, ErrorMsg) and resp.code == 1, store  # bad_request
+        assert store.logical_cells() == before
+
+
+def test_an_empty_store_takes_the_width_of_its_first_cell():
+    for store in (DenseStore(rng=random.Random(9)), DecoupledStore(index_bits=16)):
+        server = StoreServer(store)
+        assert server.handle(InsertAt(0, b"")).code == 1
+        assert server.handle(InsertAt(0, b"abcd")) == Ok()
+        assert server.handle(InsertAt(1, b"abc")).code == 1
+        assert server.handle(InsertAt(1, b"efgh")) == Ok()
+        assert store.logical_cells() in ([b"abcd", b"efgh"], [b"efgh", b"abcd"])
+
+
+class _FaultyStore(DenseStore):
+    """A dense store whose ranged reads answer with one cell too many, one
+    too few, or every cell a byte short."""
+
+    def __init__(self, cells, fault):
+        super().__init__(cells, rng=random.Random(10))
+        self.fault = fault
+
+    def get_range(self, start, count):
+        cells = super().get_range(start, count)
+        if self.fault == "more":
+            return cells + cells[:1]
+        if self.fault == "fewer":
+            return cells[:-1]
+        return [cell[:-1] for cell in cells]
+
+
+@pytest.mark.parametrize("fault", ["more", "fewer", "width"])
+def test_session_rejects_cells_replies_that_do_not_match_the_request(fault):
+    session = LocalSession(StoreServer(_FaultyStore([bytes([i]) * 36 for i in range(4)], fault)))
+    with pytest.raises(TransportError):
+        session.get_cell(1, 36)
+    with pytest.raises(TransportError):
+        session.get_range(1, 3, 4, 36)
+
+
 def test_local_session_typed_helpers():
     store = DecoupledStore(index_bits=16, rng=random.Random(4))
     session = LocalSession(store)
     assert session.length() == 0
     session.insert_at(0, b"zz")
     assert store.sparse_indices() == [1 << 15]
-    assert session.get_cell(0) == b"zz"
+    assert session.get_cell(0, 2) == b"zz"
     assert session.length() == 1
     assert session.rebalance(0) is True
     with pytest.raises(ServerError) as exc:
-        session.get_cell(9)
+        session.get_cell(9, 2)
     assert exc.value.code == 2
     assert "out_of_range" in exc.value.category
 
@@ -219,14 +338,14 @@ def test_session_stats_count_fetches():
     store = DenseStore(rng=random.Random(5))
     session = LocalSession(store)
     session.insert_at(0, b"a")
-    session.get_cell(0)
-    session.get_cell(0)
+    session.get_cell(0, 1)
+    session.get_cell(0, 1)
     assert session.stats.cells_fetched == 2
     assert session.stats.requests_sent == 3
     assert session.stats.bytes_on_wire > 0
     session.insert_at(0, b"b")
     session.insert_at(0, b"c")
-    assert sorted(session.get_range(1, 3, 3, 1)) == [b"a", b"b", b"c"]
+    assert bytes(sorted(session.get_range(1, 3, 3, 1))) == b"abc"
     assert session.stats.cells_fetched == 5  # cells, not requests
     assert session.stats.requests_sent == 6
 
@@ -286,7 +405,7 @@ def test_tcp_error_frames_surface_as_server_errors(tcp_server):
     host, port = server.server_address
     with TcpSession(host, port) as session:
         with pytest.raises(ServerError) as exc:
-            session.get_cell(99)
+            session.get_cell(99, 36)
         assert exc.value.code == 2
         assert session.length() == 0  # connection still usable
 
@@ -296,24 +415,37 @@ def test_tcp_get_range_errors_leave_the_connection_usable(tcp_server, monkeypatc
     host, port = server.server_address
     for cell in (b"a" * 36, b"b" * 36, b"c" * 36):
         store.insert_at(0, cell)
-    # room for 2 cells of 36 bytes per CELLS frame (opcode, count, blobs)
-    monkeypatch.setattr(transport, "MAX_FRAME", 5 + 2 * (4 + 36))
+    # room for 2 cells of 36 bytes per CELLS frame (opcode, width, cells)
+    monkeypatch.setattr(transport, "MAX_FRAME", 5 + 2 * 36)
     with TcpSession(host, port) as session:
         for start, count, code in [(3, 1, 2), (0, 0, 2), (0, 4, 2), (0, 3, 1)]:
             resp = session.request(GetRange(start, count))
             assert isinstance(resp, ErrorMsg) and resp.code == code, (start, count)
             assert session.length() == 3  # connection still usable
         logical = store.logical_cells()
-        assert session.request(GetRange(2, 2)) == Cells((logical[2], logical[0]))
-        assert session.get_range(1, 3, 3, 36) == logical[1:] + logical[:1]  # split in two
+        assert session.request(GetRange(2, 2)) == Cells(36, logical[2] + logical[0])
+        assert session.get_range(1, 3, 3, 36) == b"".join(logical[1:] + logical[:1])  # split in two
         assert (session.stats.requests_sent, session.stats.cells_fetched) == (11, 5)
+
+
+def test_tcp_insert_of_another_width_leaves_the_connection_usable(tcp_server):
+    server, store = tcp_server
+    with TcpSession(*server.server_address) as session:
+        session.insert_at(0, b"a" * 36)
+        for cell in (b"b" * 35, b""):
+            with pytest.raises(ServerError) as exc:
+                session.insert_at(1, cell)
+            assert exc.value.category == "bad_request"
+            assert session.length() == 1  # the next request is still answered
+        assert session.get_cell(0, 36) == b"a" * 36
+    assert store.logical_cells() == [b"a" * 36]
 
 
 def test_tcp_rejects_non_request_frames(tcp_server):
     server, _ = tcp_server
     host, port = server.server_address
     with socket.create_connection((host, port), timeout=5) as sock:
-        sock.sendall(encode(Cells((b"nope",))))  # response opcode as a request
+        sock.sendall(encode(Cells(4, b"nope")))  # response opcode as a request
         resp = sock.recv(1 << 16)
     msg = decode(resp)
     assert isinstance(msg, ErrorMsg) and msg.code == 1
