@@ -10,11 +10,10 @@ form a small lab for comparing the scheme against weaker legacy layouts.
 
 __version__ = "0.1.0"
 
-from .cipher import Ciphertext, SecretKey, decrypt, encrypt, keygen, prf
+from .cipher import SecretKey, decrypt, encrypt, keygen, prf
 from .core import CoinSource, Domain, RangeQuery, RangeResult
 
 __all__ = [
-    "Ciphertext",
     "CoinSource",
     "Domain",
     "RangeQuery",

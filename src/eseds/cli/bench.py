@@ -76,7 +76,7 @@ class BenchReport:
 def bulk_store(key: SecretKey, values: list[int], dom: Domain, rng: random.Random) -> DenseStore:
     """Encrypted store holding the values in rotated sorted order."""
     ordered = sorted(values)
-    cells = [encrypt(key, v, dom.size).to_bytes() for v in ordered]
+    cells = [encrypt(key, v, dom.size) for v in ordered]
     rot = rng.randrange(len(cells)) if cells else 0
     return DenseStore(cells[rot:] + cells[:rot])
 

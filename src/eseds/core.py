@@ -16,11 +16,11 @@ A = r + 1, so that r sorts last, and s is the first index that does not
 hold r: 1 when C[1] != r, otherwise (a deep wrap) the client reads the
 store in ranged runs of READ_RUN cells, keeps them as one block and finds
 s with O(log n) local decrypts.  Search bisects g over indices s..n-1;
-top-k, the find_* lookups and an insert that meets a wrapped run start from
-the rotation the frame gives.  Search and insert are O(log n) probes
-except on a deep wrap: a deep-wrap search still filters every cell with
-one-cell reads, and an insert that meets one reads the whole store in
-ranges.  On distinct values no run wraps.
+top-k and an insert that meets a wrapped run start from the rotation the
+frame gives.  Search and insert are O(log n) probes except on a deep wrap:
+a deep-wrap search still filters every cell with one-cell reads, and an
+insert that meets one reads the whole store in ranges.  On distinct values
+no run wraps.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def insert(key: SecretKey, session, m: int, dom: Domain, coins: CoinSource | Non
     if coins is None:
         coins = CoinSource()
     n = session.length()
-    cell = encrypt(key, m, dom.size).to_bytes()
+    cell = encrypt(key, m, dom.size)
     if n == 0:
         session.insert_at(0, cell)
         return 1
@@ -340,41 +340,6 @@ def _segments_scan(view, n, dom, a, b):
     if len(runs) > 2 or (len(runs) == 2 and (runs[0][0] != 0 or runs[1][1] != n - 1)):
         raise ProtocolError("cells are not a rotation of a sorted multiset")
     return [tuple(run) for run in runs]
-
-
-def find_jmin(key: SecretKey, session, a: int, dom: Domain) -> int:
-    """Index of the first cell, in sorted reading order, with value >= a;
-    n when every stored value is smaller."""
-    _check_plaintext(a, dom, "bound")
-    n = session.length()
-    if n == 0:
-        raise ProtocolError("empty store")
-    view = _OpView(key, session, dom)
-    w = _rotation(view, n, dom)
-    pos = _first_at_least(lambda p: view.value((w + p) % n), 0, n, a)
-    return n if pos == n else (w + pos) % n
-
-
-def find_jmax(key: SecretKey, session, b: int, dom: Domain) -> int:
-    """Index of the last cell, in sorted reading order, with value <= b;
-    -1 when every stored value is larger."""
-    _check_plaintext(b, dom, "bound")
-    n = session.length()
-    if n == 0:
-        raise ProtocolError("empty store")
-    view = _OpView(key, session, dom)
-    w = _rotation(view, n, dom)
-    pos = _first_greater(lambda p: view.value((w + p) % n), 0, n, b) - 1
-    return -1 if pos < 0 else (w + pos) % n
-
-
-def find_rotation(key: SecretKey, session, dom: Domain) -> int:
-    """Index where the sorted reading order starts (0 for an all-equal store)."""
-    n = session.length()
-    if n == 0:
-        raise ProtocolError("empty store")
-    view = _OpView(key, session, dom)
-    return _rotation(view, n, dom)
 
 
 def top_k(key: SecretKey, session, k: int, dom: Domain) -> list[int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cipher import Ciphertext, SecretKey, decrypt, encrypt, prf
+from .cipher import CELL_LEN, SecretKey, decrypt, encrypt, prf
 from .core import CoinSource
 from .store import (
     MODE_DECOUPLED,
@@ -42,12 +42,21 @@ _NEXT = struct.Struct("<q")
 NO_NEXT = -1
 
 
+def _read_cell(src) -> bytes:
+    """One cell blob of a transform file; the file is outside input, so its
+    width is checked here."""
+    cell = read_blob(src)
+    if len(cell) != CELL_LEN:
+        raise FormatError(f"cell must be {CELL_LEN} bytes, got {len(cell)}")
+    return cell
+
+
 @dataclass
 class ChainSlot:
     """One occupied table slot: sealed keyword, sealed row id, chain link."""
 
-    kw_ct: Ciphertext
-    id_ct: Ciphertext
+    kw_ct: bytes
+    id_ct: bytes
     next: int  # slot index of the next duplicate, NO_NEXT at chain end
 
 
@@ -111,19 +120,14 @@ class _ChainTable:
         with _as_writer(sink) as out:
             write_header(out, self.mode, 0, len(self.slots))
             write_records(
-                out,
-                (
-                    blob(s.kw_ct.to_bytes()) + blob(s.id_ct.to_bytes()) + _NEXT.pack(s.next)
-                    for s in self.slots
-                ),
+                out, (blob(s.kw_ct) + blob(s.id_ct) + _NEXT.pack(s.next) for s in self.slots)
             )
 
     @classmethod
     def _load_records(cls, src, count: int):
         slots = []
         for _ in range(count):
-            kw = Ciphertext.from_bytes(read_blob(src))
-            rid = Ciphertext.from_bytes(read_blob(src))
+            kw, rid = _read_cell(src), _read_cell(src)
             (nxt,) = _NEXT.unpack(read_exact(src, _NEXT.size))
             slots.append(ChainSlot(kw, rid, nxt))
         expect_eof(src)
@@ -177,7 +181,7 @@ class FhopeEseds:
     kind = "fhope"
     mode = MODE_FHOPE
 
-    def __init__(self, cells: list[Ciphertext], cell_values: list[int] | None):
+    def __init__(self, cells: list[bytes], cell_values: list[int] | None):
         self.cells = cells
         self.cell_values = cell_values
 
@@ -193,11 +197,11 @@ class FhopeEseds:
     def save(self, sink) -> None:
         with _as_writer(sink) as out:
             write_header(out, self.mode, 0, len(self.cells))
-            write_records(out, (blob(c.to_bytes()) for c in self.cells))
+            write_records(out, (blob(c) for c in self.cells))
 
     @classmethod
     def _load_records(cls, src, count: int) -> "FhopeEseds":
-        cells = [Ciphertext.from_bytes(read_blob(src)) for _ in range(count)]
+        cells = [_read_cell(src) for _ in range(count)]
         expect_eof(src)
         return cls(cells, None)
 

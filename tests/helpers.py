@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import struct
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 
@@ -35,28 +34,6 @@ def is_rotation_of_sorted(values: list[int]) -> bool:
     if not values:
         return True
     return bool(rotation_starts(values))
-
-
-def linear_jmin(values: list[int], a: int) -> int:
-    """Index of the first cell, in rotation reading order, with value >= a.
-
-    Returns len(values) when every value is < a.  Reading order starts at
-    the smallest rotation start (index 0 for an all-equal array).
-    """
-    n = len(values)
-    starts = rotation_starts(values)
-    w = 0 if len(starts) == n else starts[0]
-    p = bisect_left(sorted(values), a)
-    return n if p == n else (w + p) % n
-
-
-def linear_jmax(values: list[int], b: int) -> int:
-    """Index of the last cell, in reading order, with value <= b; -1 if none."""
-    n = len(values)
-    starts = rotation_starts(values)
-    w = 0 if len(starts) == n else starts[0]
-    p = bisect_right(sorted(values), b) - 1
-    return -1 if p < 0 else (w + p) % n
 
 
 def valid_insert_layouts(values: list[int], m: int) -> set[tuple[int, ...]]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from eseds.cipher import Ciphertext, SecretKey, decrypt, encrypt
+from eseds.cipher import SecretKey, decrypt, encrypt
 from eseds.core import CoinSource, Domain, insert
 from eseds.store import DecoupledStore, DenseStore
 from eseds.transport import LocalSession
@@ -16,7 +16,7 @@ from eseds.transport import LocalSession
 
 def direct_store(key: SecretKey, values: list[int], dom: Domain) -> DenseStore:
     """Store whose cells decrypt to exactly these values in index order."""
-    return DenseStore([encrypt(key, v, dom.size).to_bytes() for v in values])
+    return DenseStore([encrypt(key, v, dom.size) for v in values])
 
 
 def direct_session(key: SecretKey, values: list[int], dom: Domain) -> LocalSession:
@@ -24,9 +24,7 @@ def direct_session(key: SecretKey, values: list[int], dom: Domain) -> LocalSessi
 
 
 def decrypt_all(key: SecretKey, store) -> list[int]:
-    return [
-        decrypt(key, Ciphertext.from_bytes(store.get_cell(j))) for j in range(len(store))
-    ]
+    return [decrypt(key, store.get_cell(j)) for j in range(len(store))]
 
 
 def insert_all(

@@ -223,7 +223,7 @@ def test_round_trip_bounds_on_duplicate_heavy_data(log_n):
     zipf = [1 / (v + 1) for v in range(dom.size)]
     rng = random.Random(0xD0BE5 + log_n)
     values = sorted(rng.choices(range(dom.size), zipf, k=n))
-    cells = [encrypt(KEY, v, dom.size).to_bytes() for v in values]
+    cells = [encrypt(KEY, v, dom.size) for v in values]
     top, count = Counter(values).most_common(1)[0]
     run_lo = values.index(top)
     for trial in range(4):

@@ -8,7 +8,6 @@ from eseds.cipher import (
     TAG_LEN,
     VALUE_LEN,
     CipherError,
-    Ciphertext,
     IntegrityError,
     SecretKey,
     decrypt,
@@ -41,7 +40,6 @@ def test_encrypt_is_probabilistic():
     key = keygen()
     a, b = encrypt(key, 5, 256), encrypt(key, 5, 256)
     assert a != b
-    assert a.to_bytes() != b.to_bytes()
 
 
 def test_encrypt_bound_checks():
@@ -62,16 +60,15 @@ def test_wrong_key_fails_auth():
 
 def test_tampered_cell_fails_auth():
     key = keygen()
-    cell = encrypt(key, 7, 16)
-    raw = bytearray(cell.to_bytes())
+    raw = bytearray(encrypt(key, 7, 16))
     raw[NONCE_LEN] ^= 0x01  # flip one body bit
     with pytest.raises(IntegrityError):
-        decrypt(key, Ciphertext.from_bytes(bytes(raw)))
+        decrypt(key, bytes(raw))
 
 
 def test_decrypt_takes_cell_bytes():
     key = keygen()
-    raw = encrypt(key, 9, 16).to_bytes()
+    raw = bytes(encrypt(key, 9, 16))
     assert decrypt(key, raw) == 9
     for bad in (raw[:-1], raw + b"\x00", b""):
         with pytest.raises(CipherError) as exc:
@@ -87,49 +84,14 @@ def test_decrypt_takes_cell_bytes():
 def test_cell_bytes_round_trip_and_length():
     key = keygen()
     cell = encrypt(key, 3, 16)
-    raw = cell.to_bytes()
-    assert len(raw) == CELL_LEN
-    assert Ciphertext.from_bytes(raw) == cell
-    with pytest.raises(CipherError):
-        Ciphertext.from_bytes(raw[:-1])
-
-
-def test_ciphertext_is_a_view_over_the_cell_bytes():
-    key = keygen()
-    cell = encrypt(key, 5, 16)
-    raw = cell.to_bytes()
-    assert type(raw) is bytes
-    assert cell.nonce + cell.body + cell.tag == raw
-    assert (len(cell.nonce), len(cell.body), len(cell.tag)) == (NONCE_LEN, VALUE_LEN, TAG_LEN)
-    twin = Ciphertext.from_bytes(bytes(raw))
-    assert twin == cell and hash(twin) == hash(cell)
-    assert len({cell, twin}) == 1
-    assert cell != encrypt(key, 5, 16)
-    assert cell != raw  # a view is not its bytes
-    with pytest.raises(AttributeError):
-        cell.nonce = bytes(NONCE_LEN)
-
-
-def test_ciphertext_from_mutable_buffer_is_a_copy():
-    raw = encrypt(keygen(), 6, 16).to_bytes()
-    buf = bytearray(raw)
-    cell = Ciphertext.from_bytes(buf)
-    buf[:] = bytes(CELL_LEN)
-    assert cell.to_bytes() == raw
-    assert type(cell.to_bytes()) is bytes
-    assert Ciphertext.from_bytes(memoryview(raw)) == cell
-
-
-def test_ciphertext_rejects_wrong_lengths():
-    raw = encrypt(keygen(), 6, 16).to_bytes()
-    for bad in (b"", raw[:-1], raw + b"\x00", bytearray(CELL_LEN + 1)):
-        with pytest.raises(CipherError):
-            Ciphertext.from_bytes(bad)
+    assert isinstance(cell, bytes)
+    assert len(cell) == CELL_LEN == NONCE_LEN + VALUE_LEN + TAG_LEN
+    assert decrypt(key, bytes(cell)) == 3
 
 
 def test_ciphertext_length_constant_over_domain():
     key = keygen()
-    assert {len(encrypt(key, m, 64).to_bytes()) for m in range(64)} == {CELL_LEN}
+    assert {len(encrypt(key, m, 64)) for m in range(64)} == {CELL_LEN}
 
 
 def test_key_repr_redacted():
@@ -170,5 +132,5 @@ def test_nonce_uniqueness_at_scale():
     key = keygen()
     seen = set()
     for i in range(1_000_000):
-        seen.add(encrypt(key, i & 0xFF, 256).nonce)
+        seen.add(encrypt(key, i & 0xFF, 256)[:NONCE_LEN])
     assert len(seen) == 1_000_000

@@ -432,7 +432,7 @@ def _decoupled_file_case(key, rng):
 def _chain_file_case(builder, mode):
     def case(key, rng):
         table = builder(key, [rng.randrange(64) for _ in range(RECORDS_PER_WRITE + 10)], 64)
-        records = [(s.kw_ct.to_bytes(), s.id_ct.to_bytes(), s.next) for s in table.slots]
+        records = [(s.kw_ct, s.id_ct, s.next) for s in table.slots]
         return table, reference_store_file(mode, records)
 
     return case
@@ -440,7 +440,7 @@ def _chain_file_case(builder, mode):
 
 def _fhope_file_case(key, rng):
     table = build_fhope(key, [rng.randrange(64) for _ in range(500)], 64, coins=CoinSource(3))
-    return table, reference_store_file(MODE_FHOPE, [c.to_bytes() for c in table.cells])
+    return table, reference_store_file(MODE_FHOPE, table.cells)
 
 
 @pytest.mark.parametrize(

@@ -6,9 +6,17 @@ from collections import Counter
 
 import pytest
 
-from eseds.cipher import decrypt, keygen, prf
+from eseds.cipher import CELL_LEN, decrypt, encrypt, keygen, prf
 from eseds.core import CoinSource, Domain, insert
-from eseds.store import DenseStore, DecoupledStore, ModeError
+from eseds.store import (
+    MODE_DET,
+    MODE_FHOPE,
+    MODE_OPE,
+    DecoupledStore,
+    DenseStore,
+    FormatError,
+    ModeError,
+)
 from eseds.transforms import (
     NO_NEXT,
     DetEseds,
@@ -24,6 +32,7 @@ from eseds.transforms import (
 )
 from eseds.transport import LocalSession
 
+from helpers import reference_store_file
 from instancelib import insert_all
 
 
@@ -166,7 +175,7 @@ def test_fhope_leakage_view(key):
 
 def test_fhope_every_cell_unique_bytes(key):
     fh = build_fhope(key, [4] * 10, 8, coins=CoinSource(1))
-    raw = {c.to_bytes() for c in fh.cells}
+    raw = set(fh.cells)
     assert len(raw) == 10  # probabilistic encryption: equal values, distinct cells
 
 
@@ -223,6 +232,22 @@ def test_load_any_dispatches_cell_stores(tmp_path, key):
     got = load_any(p2)
     assert isinstance(got, DecoupledStore)
     assert got.sparse_indices() == dec.sparse_indices()
+
+
+@pytest.mark.parametrize("width", [CELL_LEN - 1, CELL_LEN + 1])
+def test_load_any_rejects_transform_cells_of_another_width(key, width):
+    # a transform file is outside input: a cell blob of any other width is
+    # a format error, wherever it sits in the record
+    good = encrypt(key, 1, 16)
+    bad = (good + b"\x00")[:width]
+    files = [reference_store_file(MODE_FHOPE, [good, bad])]
+    for mode in (MODE_DET, MODE_OPE):
+        files.append(reference_store_file(mode, [(good, good, NO_NEXT), (bad, good, NO_NEXT)]))
+        files.append(reference_store_file(mode, [(good, bad, NO_NEXT)]))
+    for raw in files:
+        with pytest.raises(FormatError, match=f"got {width}"):
+            load_any(io.BytesIO(raw))
+    assert load_any(io.BytesIO(reference_store_file(MODE_FHOPE, [good, good]))).cells == [good, good]
 
 
 def test_cell_store_loader_rejects_transform_files(tmp_path, key):

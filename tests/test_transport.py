@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eseds import transport
-from eseds.cipher import Ciphertext, decrypt
+from eseds.cipher import decrypt
 from eseds.core import CoinSource, Domain, RangeQuery, insert, search_range
 from eseds.store import DecoupledStore, DenseStore
 from eseds.transport import (
@@ -390,8 +390,8 @@ def test_tcp_matches_local(layout, key):
             insert(key, local, v, dom, coins=coins_b)
         # nonces differ per encryption, but identical coins force identical
         # slot choices, so the decrypted layouts must match exactly
-        got_plain = [decrypt(key, Ciphertext.from_bytes(store.get_cell(j))) for j in range(len(store))]
-        want_plain = [decrypt(key, Ciphertext.from_bytes(twin.get_cell(j))) for j in range(len(twin))]
+        got_plain = [decrypt(key, store.get_cell(j)) for j in range(len(store))]
+        want_plain = [decrypt(key, twin.get_cell(j)) for j in range(len(twin))]
         assert got_plain == want_plain
         got = search_range(key, remote, RangeQuery(2, 9), dom)
         want = search_range(key, local, RangeQuery(2, 9), dom)
