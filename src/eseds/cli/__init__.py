@@ -245,6 +245,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_rebalance(args) -> int:
+    if args.batch < 0:
+        raise UserError(f"--batch must not be negative, got {args.batch}")
     with open_session(args, writable=True) as session:
         steps = 0
         while True:

@@ -24,7 +24,6 @@ from ..attacks import (
 )
 from ..cipher import SecretKey, decrypt
 from ..core import CoinSource, Domain
-from ..store import DenseStore
 from ..transforms import build_det, build_fhope, build_ope, leakage_view
 from .bench import bulk_store
 

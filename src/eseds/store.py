@@ -1,7 +1,8 @@
 """Server-side state: cell arrays, the sparse-index decoupled layout, persistence.
 
 The server never interprets cell contents.  Cells are opaque byte strings
-handed over by the client, all of one width per store; the only structure
+handed over by the client, all of one width per store, fixed by the first
+cell (from the constructor, ``load`` or the first insert); the only structure
 the server maintains is their order.  Both stores take the same insert,
 ``insert_at(l, cell)`` at logical slot ``0 <= l <= n``, and lay the cells
 out their own way (dense mode: an array with shift-insert plus a fresh
@@ -113,6 +114,23 @@ def expect_eof(src: io.BufferedIOBase) -> None:
         raise FormatError("trailing bytes after store records")
 
 
+def _one_width(cells, error: type[StoreError] = StoreError) -> int:
+    """The width every one of ``cells`` has, or 0 when there are none;
+    raises ``error`` if they differ in width or one is empty."""
+    widths = set(map(len, cells))
+    if len(widths) > 1 or 0 in widths:
+        raise error(f"cells differ in width or are empty: widths {min(widths)}..{max(widths)}")
+    return widths.pop() if widths else 0
+
+
+def _width_after(width: int, cell: bytes) -> int:
+    """The width of a store of ``width``-byte cells (0 while it has none)
+    once it takes ``cell``; an empty cell, or one of another width, raises."""
+    if not cell or (width and len(cell) != width):
+        raise StoreError(f"a {len(cell)}-byte cell in a store of {width}-byte cells")
+    return len(cell)
+
+
 class _as_reader:
     """Accept either a binary stream or a filesystem path."""
 
@@ -176,6 +194,7 @@ class DenseStore:
 
     def __init__(self, cells: list[bytes] | None = None, *, rng: random.Random | None = None):
         self._cells: list[bytes] = list(cells) if cells else []
+        self.width = _one_width(self._cells)
         self._start = 0
         self._rng = rng if rng is not None else random.SystemRandom()
 
@@ -188,18 +207,19 @@ class DenseStore:
             raise OutOfRange(f"index {j} out of range for {n} cells")
         return self._cells[(self._start + j) % n]
 
-    def get_range(self, start: int, count: int) -> list[bytes]:
-        """Logical cells start, start+1, ... (count of them, wrapping past n-1)."""
+    def get_range(self, start: int, count: int) -> bytes:
+        """Logical cells start, start+1, ... (count of them, wrapping past n-1) as one block."""
         cells, n = self._cells, len(self._cells)
         if not (0 <= start < n and 1 <= count <= n):
             raise OutOfRange(f"range of {count} from {start} out of range for {n} cells")
         p = (self._start + start) % n
         end = p + count
-        return cells[p:end] if end <= n else cells[p:] + cells[: end - n]
+        return b"".join(cells[p:end] if end <= n else cells[p:] + cells[: end - n])
 
     def insert_at(self, l: int, cell: bytes) -> None:
         """Insert at logical slot l (0 <= l <= n), then rotate by a fresh
         uniform offset drawn from the server's randomness."""
+        width = _width_after(self.width, cell)
         n = len(self._cells)
         if not 0 <= l <= n:
             raise OutOfRange(f"slot {l} out of range for {n} cells")
@@ -210,6 +230,7 @@ class DenseStore:
         # storing the post-insert array with start offset s realizes exactly that
         self._cells = logical
         self._start = s
+        self.width = width
 
     def logical_cells(self) -> list[bytes]:
         return self._cells[self._start :] + self._cells[: self._start]
@@ -260,6 +281,7 @@ class DecoupledStore:
         if not 8 <= index_bits <= 1 << 15 or index_bits % 8:
             raise StoreError(f"index_bits must be a multiple of 8 in [8, 32768], got {index_bits}")
         self.domain_bits = index_bits
+        self.width = 0  # no cells yet
         self._entries: list[_Entry] = []
         self._rng = rng if rng is not None else random.SystemRandom()
         # pass in progress: its cells in rotated rank order, and the re-spaced
@@ -279,13 +301,13 @@ class DecoupledStore:
             raise OutOfRange(f"rank {j} out of range for {len(self._entries)} cells")
         return self._entries[j].cell
 
-    def get_range(self, start: int, count: int) -> list[bytes]:
-        """Cells of ranks start, start+1, ... (count of them, wrapping past n-1)."""
+    def get_range(self, start: int, count: int) -> bytes:
+        """Cells of ranks start, start+1, ... (count of them, wrapping past n-1) as one block."""
         entries, n = self._entries, len(self._entries)
         if not (0 <= start < n and 1 <= count <= n):
             raise OutOfRange(f"range of {count} from {start} out of range for {n} cells")
         end = start + count
-        return [e.cell for e in entries[start:end]] + [e.cell for e in entries[: max(0, end - n)]]
+        return b"".join([e.cell for e in entries[start:end]] + [e.cell for e in entries[: max(0, end - n)]])
 
     def sparse_indices(self) -> list[int]:
         return [e.sparse for e in self._entries]
@@ -305,6 +327,7 @@ class DecoupledStore:
         """Store the cell at rank l (0 <= l <= n), at the midpoint sparse
         index between ranks l-1 and l.  A gap of <= 1 is recovered by a
         synchronous local rebalance and a single retry."""
+        width = _width_after(self.width, cell)
         n = len(self._entries)
         if not 0 <= l <= n:
             raise OutOfRange(f"slot {l} out of range for {n} cells")
@@ -317,6 +340,7 @@ class DecoupledStore:
                 raise StoreFull("sparse index space exhausted")
         self._entries.insert(l, _Entry((hi - lo) // 2 + lo, bytes(cell)))
         self._pass = None  # a pass in progress restarts from the new order
+        self.width = width
 
     def _local_rebalance(self, l: int) -> None:
         """Re-space the smallest window of ranks around slot l so every gap
@@ -417,7 +441,5 @@ def load_records(src, mode: int, domain_bits: int, count: int):
         store = DecoupledStore._load_records(src, domain_bits, count)
     else:
         raise ModeError(f"mode {mode} is a legacy transform file, not a cell store")
-    widths = set(map(len, store.logical_cells()))
-    if len(widths) > 1 or 0 in widths:
-        raise FormatError(f"cells differ in width or are empty: widths {min(widths)}..{max(widths)}")
+    store.width = _one_width(store.logical_cells(), FormatError)
     return store

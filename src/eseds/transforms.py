@@ -11,7 +11,7 @@ per position, which stays in memory for scoring and is never serialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cipher import CELL_LEN, SecretKey, decrypt, encrypt, prf
 from .core import CoinSource
@@ -216,7 +216,7 @@ class FhopeEseds:
 # ---------------------------------------------------------------------------
 
 
-def _occupy(slots: list, taken: list[bool], start: int) -> int:
+def _occupy(taken: list[bool], start: int) -> int:
     """First free slot at or cyclically after start (the table never fills
     beyond its element count, so a free slot always exists)."""
     n = len(taken)
@@ -245,10 +245,10 @@ def build_det(
     tail: dict[int, int] = {}  # value -> last slot of its chain
     for m, rid in zip(plaintexts, row_ids):
         if m in tail:
-            j = _occupy(slots, taken, tail[m] + 1)
+            j = _occupy(taken, tail[m] + 1)
             slots[tail[m]].next = j
         else:
-            j = _occupy(slots, taken, prf(key, m, n))
+            j = _occupy(taken, prf(key, m, n))
         slots[j] = ChainSlot(
             encrypt(key, m, domain_size), encrypt(key, rid, 1 << 64), NO_NEXT
         )

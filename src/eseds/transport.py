@@ -1,13 +1,15 @@
 """Client/server boundary: binary framing, an in-process session, and TCP.
 
 Frame layout: u32 big-endian length ‖ u8 opcode ‖ payload, where the length
-covers opcode + payload.  All integers on the wire are big-endian.  Cells are
-opaque byte strings of one width per store, so a range of them travels as
-one block: the width, then the cells back to back.  The store's layout
-(dense or decoupled) stays on the server: every request means the same on
-both.  No frame may exceed 16 MiB: the server refuses a GET_RANGE whose
-answer would, and the client splits larger reads.  Key material has no
-encoding in this protocol at all.
+covers opcode + payload.  Every payload is the message's fixed-width fields,
+then, for INSERT_AT, ERROR, CELLS and OK, the rest of the frame as its last
+field; ``LAYOUT`` is the one table of them.  All integers on the wire are
+big-endian.  Cells are opaque byte strings of one width per store, so a
+range of them travels as one block: the width, then the cells back to back.
+The store's layout (dense or decoupled) stays on the server: every request
+means the same on both.  No frame may exceed 16 MiB: the server refuses a
+GET_RANGE whose answer would, and the client splits larger reads.  Key
+material has no encoding in this protocol at all.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import socket
 import socketserver
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import partial
+from operator import attrgetter
 
 from . import store as store_mod
 
@@ -132,136 +136,110 @@ class Len:
 
 Message = GetRange | InsertAt | Length | RebalanceHint | Save | ErrorMsg | Cells | Ok | Len
 
-_U8, _U16, _U32, _U64 = (struct.Struct(fmt) for fmt in (">B", ">H", ">I", ">Q"))
-_U64X2 = struct.Struct(">QQ")
-_GET_RANGE = struct.Struct(">BQQ")
-_CELLS = struct.Struct(">BI")
+#: The codec's one table.  Each opcode's row holds its message type, the
+#: struct of its fixed fields and whether the rest of the frame is its last
+#: field.  A frame is the fixed fields in the order the type declares them,
+#: then the rest, if the row says there is one.
+LAYOUT: dict[int, tuple[type, struct.Struct, bool]] = {
+    GET_RANGE: (GetRange, struct.Struct(">QQ"), False),
+    INSERT_AT: (InsertAt, struct.Struct(">Q"), True),
+    LENGTH: (Length, struct.Struct(">"), False),
+    REBALANCE_HINT: (RebalanceHint, struct.Struct(">Q"), False),
+    SAVE: (Save, struct.Struct(">"), False),
+    ERROR: (ErrorMsg, struct.Struct(">H"), True),
+    CELLS: (Cells, struct.Struct(">I"), True),
+    OK: (Ok, struct.Struct(">"), True),
+    LEN: (Len, struct.Struct(">Q"), False),
+}
+
+_HEAD = struct.Struct(">IB")  # length, opcode
 
 
-def _u64(x: int) -> bytes:
-    return _U64.pack(x)
+def _getter(names: list[str]):
+    """A function of a message that returns its ``names`` fields as a tuple
+    (``attrgetter`` alone returns a bare value for one name)."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        one = attrgetter(names[0])
+        return lambda msg: (one(msg),)
+    return lambda msg: ()
 
 
-def _blob(b: bytes) -> bytes:
-    return _U32.pack(len(b)) + b
+def _encoding(opcode: int, cls: type, fixed: struct.Struct, rest: bool) -> tuple:
+    """How ``encode`` writes a message of type ``cls``: the opcode, the frame
+    length without the rest, a getter of every field, whether the last field
+    is the rest, and a packer.  Without a rest the packer writes the whole
+    frame, with its length and opcode bound in; with one, only the fixed
+    fields."""
+    getter = _getter([f.name for f in fields(cls)])
+    if rest:
+        return opcode, 1 + fixed.size, getter, True, fixed.pack
+    head = struct.Struct(_HEAD.format + fixed.format.lstrip(">"))
+    return opcode, 1 + fixed.size, getter, False, partial(head.pack, 1 + fixed.size, opcode)
+
+
+_ENCODING = {row[0]: _encoding(opcode, *row) for opcode, row in LAYOUT.items()}
 
 
 def encode(msg: Message) -> bytes:
-    """Serialize a message to a complete frame (length prefix included)."""
-    if isinstance(msg, GetRange):
-        body = _GET_RANGE.pack(GET_RANGE, msg.start, msg.count)
-    elif isinstance(msg, Cells):
-        if msg.width < 1 or len(msg.data) % msg.width:
-            raise CodecError(f"{len(msg.data)} bytes are not whole cells of width {msg.width}")
-        body = _CELLS.pack(CELLS, msg.width) + msg.data
-    elif isinstance(msg, InsertAt):
-        body = bytes([INSERT_AT]) + _u64(msg.l) + _blob(msg.cell)
-    elif isinstance(msg, Length):
-        body = bytes([LENGTH])
-    elif isinstance(msg, RebalanceHint):
-        body = bytes([REBALANCE_HINT]) + _u64(msg.batch)
-    elif isinstance(msg, Save):
-        body = bytes([SAVE])
-    elif isinstance(msg, ErrorMsg):
-        body = bytes([ERROR]) + struct.pack(">H", msg.code) + _blob(msg.message.encode())
-    elif isinstance(msg, Ok):
-        body = bytes([OK]) + _blob(msg.data)
-    elif isinstance(msg, Len):
-        body = bytes([LEN]) + _u64(msg.count)
-    else:
-        raise CodecError(f"cannot encode {type(msg).__name__}")
-    if len(body) > MAX_FRAME:
-        raise CodecError(f"frame of {len(body)} bytes exceeds the 16 MiB cap")
-    return struct.pack(">I", len(body)) + body
-
-
-class _Reader:
-    """Bounds-checked cursor over a frame, starting past its length prefix."""
-
-    def __init__(self, buf: bytes, pos: int):
-        self._buf = buf
-        self._pos = pos
-
-    def take(self, n: int) -> bytes:
-        pos = self._pos
-        if pos + n > len(self._buf):
-            raise CodecError("truncated frame")
-        self._pos = pos + n
-        return self._buf[pos : pos + n]
-
-    def unpack(self, fmt: struct.Struct) -> tuple:
-        pos = self._pos
-        if pos + fmt.size > len(self._buf):
-            raise CodecError("truncated frame")
-        self._pos = pos + fmt.size
-        return fmt.unpack_from(self._buf, pos)
-
-    def u8(self) -> int:
-        return self.unpack(_U8)[0]
-
-    def u16(self) -> int:
-        return self.unpack(_U16)[0]
-
-    def u32(self) -> int:
-        return self.unpack(_U32)[0]
-
-    def u64(self) -> int:
-        return self.unpack(_U64)[0]
-
-    def blob(self) -> bytes:
-        return self.take(self.u32())
-
-    def cells(self) -> Cells:
-        """A u32 width, then the rest of the frame as whole cells of it."""
-        width = self.u32()
-        data = self.take(len(self._buf) - self._pos)
-        if width == 0 or len(data) % width:
-            raise CodecError(f"{len(data)} bytes are not whole cells of width {width}")
-        return Cells(width, data)
-
-    def done(self) -> None:
-        if self._pos != len(self._buf):
-            raise CodecError("trailing bytes in frame")
+    """Serialize a message to a complete frame (length prefix included).
+    Raises CodecError for a message that has no frame: a field its struct
+    cannot pack, ERROR text with no UTF-8 form, or a frame over the cap.
+    CELLS are written as given: a store's cells are whole cells of its one
+    width, and ``decode`` refuses any that are not."""
+    try:
+        opcode, length, getter, rest, pack = _ENCODING[type(msg)]
+    except KeyError:
+        raise CodecError(f"cannot encode {type(msg).__name__}") from None
+    try:
+        values = getter(msg)
+        if not rest:
+            return pack(*values)
+        tail = values[-1]
+        if opcode == ERROR:
+            tail = tail.encode()
+        length += len(tail)
+        if length > MAX_FRAME:
+            raise CodecError(f"frame of {length} bytes exceeds the 16 MiB cap")
+        return _HEAD.pack(length, opcode) + pack(*values[:-1]) + tail
+    except (struct.error, UnicodeEncodeError) as e:
+        raise CodecError(f"cannot encode {type(msg).__name__}: {e}") from None
 
 
 def decode(frame: bytes) -> Message:
     """Parse a complete frame back into a message, rejecting any malformation."""
-    if len(frame) < 5:
+    size = len(frame)
+    if size < 5:
         raise CodecError("frame shorter than header")
-    (length,) = _U32.unpack_from(frame)
+    length, opcode = _HEAD.unpack_from(frame)
     if length > MAX_FRAME:
         raise CodecError(f"declared length {length} exceeds the 16 MiB cap")
-    if length != len(frame) - 4:
+    if length != size - 4:
         raise CodecError("frame length mismatch")
-    r = _Reader(frame, 4)
-    opcode = r.u8()
-    msg: Message
-    if opcode == GET_RANGE:
-        msg = GetRange(*r.unpack(_U64X2))
-    elif opcode == CELLS:
-        msg = r.cells()
-    elif opcode == INSERT_AT:
-        msg = InsertAt(r.u64(), r.blob())
-    elif opcode == LENGTH:
-        msg = Length()
-    elif opcode == REBALANCE_HINT:
-        msg = RebalanceHint(r.u64())
-    elif opcode == SAVE:
-        msg = Save()
+    try:
+        cls, fixed, rest = LAYOUT[opcode]
+    except KeyError:
+        raise CodecError(f"unknown opcode 0x{opcode:02x}") from None
+    end = 5 + fixed.size
+    if size < end:
+        raise CodecError("truncated frame")
+    values = fixed.unpack_from(frame, 5)
+    if not rest:
+        if size != end:
+            raise CodecError("trailing bytes in frame")
+        return cls(*values)
+    tail = frame[end:]
+    if opcode == CELLS:
+        width = values[0]
+        if width < 1 or len(tail) % width:
+            raise CodecError(f"{len(tail)} bytes are not whole cells of width {width}")
     elif opcode == ERROR:
-        code = r.u16()
         try:
-            msg = ErrorMsg(code, r.blob().decode())
+            tail = tail.decode()
         except UnicodeDecodeError as e:
             raise CodecError(f"ERROR message is not UTF-8: {e}") from None
-    elif opcode == OK:
-        msg = Ok(r.blob())
-    elif opcode == LEN:
-        msg = Len(r.u64())
-    else:
-        raise CodecError(f"unknown opcode 0x{opcode:02x}")
-    r.done()
-    return msg
+    return cls(*values, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +277,12 @@ class StoreServer:
     def _dispatch(self, msg: Message) -> Message:
         store = self.store
         if isinstance(msg, GetRange):
-            cells = store.get_range(msg.start, msg.count)
-            width, data = len(cells[0]), b"".join(cells)
-            if not width or len(data) != width * len(cells):
-                return ErrorMsg(E_INTERNAL, "the store's cells differ in width")
+            data = store.get_range(msg.start, msg.count)
             size = 5 + len(data)  # opcode, width, cells
             if size > MAX_FRAME:
                 return ErrorMsg(E_BAD_REQUEST, f"{msg.count} cells need a {size}-byte frame, over the cap")
-            return Cells(width, data)
+            return Cells(store.width, data)
         if isinstance(msg, InsertAt):
-            width = len(store.get_cell(0)) if len(store) else len(msg.cell)
-            if not width or len(msg.cell) != width:
-                return ErrorMsg(E_BAD_REQUEST, f"a {len(msg.cell)}-byte cell in a store of {width}-byte cells")
             store.insert_at(msg.l, msg.cell)
             return Ok()
         if isinstance(msg, Length):
@@ -469,7 +441,7 @@ def read_frame(sock: socket.socket) -> bytes | None:
             return None
         frame += chunk
         if want == 4 and len(frame) == 4:
-            (length,) = _U32.unpack(frame)
+            length = int.from_bytes(frame, "big")
             if length > MAX_FRAME:
                 raise CodecError(f"declared length {length} exceeds the 16 MiB cap")
             want += length

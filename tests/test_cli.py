@@ -135,6 +135,17 @@ def test_rebalance_over_addr_needs_no_store(capsys, store):
     assert err.startswith("error: usage:") and "--store" in err
 
 
+@pytest.mark.parametrize("batch, category", [("-1", "usage"), (str(1 << 64), "transport")])
+def test_rebalance_refuses_a_batch_outside_the_u64_range(capsys, store, batch, category):
+    init(capsys, store, "--mode", "decoupled", "--index-bits", "16")
+    run(capsys, "insert", "--store", store, "--seed", "2", "8,1,5")
+    before = Path(store).read_bytes()
+    code, _, err = run(capsys, "rebalance", "--store", store, "--batch", batch)
+    assert code == 1, err
+    assert err.startswith(f"error: {category}:"), err
+    assert Path(store).read_bytes() == before
+
+
 def test_persistence_across_invocations(capsys, store):
     init(capsys, store)
     run(capsys, "insert", "--store", store, "--seed", "1", "42")

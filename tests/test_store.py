@@ -66,15 +66,15 @@ def test_dense_get_cell_and_bounds():
 
 def test_dense_insert_at_zero_rotation():
     st = DenseStore(cells(0, 1, 2), rng=FixedCoins(0))
-    st.insert_at(1, b"XX")
-    assert st.logical_cells() == [cells(0)[0], b"XX", cells(1)[0], cells(2)[0]]
+    st.insert_at(1, b"XXXX")
+    assert st.logical_cells() == [cells(0)[0], b"XXXX", cells(1)[0], cells(2)[0]]
 
 
 def test_dense_insert_at_with_rotation():
     c0, c1, c2 = cells(0, 1, 2)
     st = DenseStore([c0, c1, c2], rng=FixedCoins(2))
-    st.insert_at(1, b"XX")
-    assert st.logical_cells() == [c1, c2, c0, b"XX"]
+    st.insert_at(1, b"XXXX")
+    assert st.logical_cells() == [c1, c2, c0, b"XXXX"]
 
 
 def test_dense_insert_into_empty():
@@ -86,7 +86,7 @@ def test_dense_insert_into_empty():
 def test_dense_insert_at_bounds():
     st = DenseStore(cells(1))
     with pytest.raises(OutOfRange):
-        st.insert_at(2, b"XX")
+        st.insert_at(2, b"XXXX")
 
 
 def test_dense_rotation_offsets_cover_new_length():
@@ -94,16 +94,16 @@ def test_dense_rotation_offsets_cover_new_length():
     seen = set()
     for s in range(4):
         st = DenseStore(cells(0, 1, 2), rng=FixedCoins(s))
-        st.insert_at(0, b"XX")
+        st.insert_at(0, b"XXXX")
         seen.add(tuple(st.logical_cells()))
     assert len(seen) == 4
 
 
 def test_dense_unseeded_rotation_uses_store_rng():
     st = DenseStore(cells(0, 1, 2), rng=random.Random(5))
-    st.insert_at(0, b"XX")  # the rotation comes from the store's rng
+    st.insert_at(0, b"XXXX")  # the rotation comes from the store's rng
     want = DenseStore(cells(0, 1, 2), rng=random.Random(5))
-    want.insert_at(0, b"XX")
+    want.insert_at(0, b"XXXX")
     assert st == want
 
 
@@ -154,8 +154,8 @@ def test_decoupled_insert_at_every_slot_splices_in_rank_order():
             for i in range(n):
                 st.insert_at(i, bytes([i]))
             old = st.logical_cells()
-            st.insert_at(l, b"new")
-            assert st.logical_cells() == old[:l] + [b"new"] + old[l:], (n, l)
+            st.insert_at(l, b"N")
+            assert st.logical_cells() == old[:l] + [b"N"] + old[l:], (n, l)
             idx = st.sparse_indices()
             assert all(a < b for a, b in zip(idx, idx[1:])), (n, l, idx)
             collisions += st.collisions
@@ -266,12 +266,12 @@ def test_rebalance_batched_equals_one_shot():
 def test_rebalance_restarts_after_mutation():
     st = _spaced_store(6, seed=4)
     assert not st.rebalance_step(2)
-    st.insert_at(6, b"zz")  # mutate mid-pass
+    st.insert_at(6, b"z")  # mutate mid-pass
     assert st.rebalance_step(0)  # restarts from the post-insert order
     idx = st.sparse_indices()
     gaps = [b - a for a, b in zip(idx, idx[1:])]
     assert len(set(gaps)) == 1 and len(idx) == 7
-    ranks = [bytes([i]) for i in range(6)] + [b"zz"]
+    ranks = [bytes([i]) for i in range(6)] + [b"z"]
     assert st.logical_cells() in [ranks[s:] + ranks[:s] for s in range(7)]
 
 
@@ -379,15 +379,41 @@ def test_load_rejects_transform_modes():
 
 @pytest.mark.parametrize("widths", [(4, 4, 2), (4, 5), (0, 0)])
 def test_load_rejects_cells_of_more_than_one_width_or_none(widths):
-    dense = DenseStore([bytes([7]) * w for w in widths])
-    decoupled = DecoupledStore(index_bits=16)
-    for i, w in enumerate(widths):
-        decoupled.insert_at(i, bytes([7]) * w)
-    for st in (dense, decoupled):
-        buf = io.BytesIO()
-        st.save(buf)
+    cells = [bytes([7]) * w for w in widths]
+    dense = reference_store_file(MODE_DENSE, cells)
+    decoupled = reference_store_file(MODE_DECOUPLED, list(zip(range(1, 4), cells)), index_bits=16)
+    for blob in (dense, decoupled):
         with pytest.raises(FormatError, match="width"):
-            load(io.BytesIO(buf.getvalue()))
+            load(io.BytesIO(blob))
+    with pytest.raises(StoreError, match="width"):  # nor can a store be built of them
+        DenseStore(cells)
+
+
+@pytest.mark.parametrize("layout", ["dense", "decoupled"])
+def test_the_first_cell_fixes_the_store_width(layout):
+    st = DenseStore() if layout == "dense" else DecoupledStore(index_bits=16)
+    assert st.width == 0
+    with pytest.raises(StoreError):
+        st.insert_at(0, b"")
+    assert st.width == 0 and len(st) == 0
+    with pytest.raises(OutOfRange):
+        st.insert_at(1, b"abc")  # refused, so the width stays open
+    st.insert_at(0, b"abcd")
+    assert st.width == 4
+    for cell, l in ((b"abc", 0), (b"abcde", 1), (b"", 1), (b"abc", 9)):
+        with pytest.raises(StoreError, match="4-byte cells") as exc:
+            st.insert_at(l, cell)
+        assert exc.type is StoreError  # the width is checked before the slot
+    assert st.logical_cells() == [b"abcd"]
+    st.insert_at(1, b"efgh")
+    assert st.get_range(1, 2) in (b"efghabcd", b"abcdefgh")
+    assert _reloaded(st).width == 4
+
+
+def _reloaded(st):
+    buf = io.BytesIO()
+    st.save(buf)
+    return load(io.BytesIO(buf.getvalue()))
 
 
 def test_decoupled_load_rejects_non_increasing(tmp_path):
@@ -406,15 +432,15 @@ def test_decoupled_load_rejects_non_increasing(tmp_path):
         load(path)
 
 
-def _varied_cells(rng, count):
-    """Cells of 0 to 40 bytes, so the blob length prefixes differ."""
-    return [rng.randbytes(rng.randrange(41)) for _ in range(count)]
+def _random_cells(rng, count, width):
+    """``count`` random cells of ``width`` bytes."""
+    return [rng.randbytes(width) for _ in range(count)]
 
 
 def _dense_file_case(key, rng):
     # more records than one write holds, and a nonzero start offset to undo
-    st = DenseStore(_varied_cells(rng, 2 * RECORDS_PER_WRITE + 3), rng=random.Random(4))
-    for cell in _varied_cells(rng, 3):
+    st = DenseStore(_random_cells(rng, 2 * RECORDS_PER_WRITE + 3, 7), rng=random.Random(4))
+    for cell in _random_cells(rng, 3, 7):
         st.insert_at(rng.randrange(len(st) + 1), cell)
     assert st._start != 0
     return st, reference_store_file(MODE_DENSE, [st.get_cell(j) for j in range(len(st))])
@@ -423,7 +449,7 @@ def _dense_file_case(key, rng):
 def _decoupled_file_case(key, rng):
     st = DecoupledStore(rng=random.Random(5))
     st.insert_at(0, b"first")
-    for cell in _varied_cells(rng, RECORDS_PER_WRITE + 10):
+    for cell in _random_cells(rng, RECORDS_PER_WRITE + 10, 5):
         st.insert_at(rng.randrange(len(st) + 1), cell)
     records = list(zip(st.sparse_indices(), [st.get_cell(j) for j in range(len(st))]))
     return st, reference_store_file(MODE_DECOUPLED, records, index_bits=st.domain_bits)

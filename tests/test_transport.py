@@ -1,9 +1,12 @@
 """Wire codec, request handling, sessions, and the key-material boundary."""
 
+import ast
 import contextlib
 import pathlib
 import random
 import socket
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -78,13 +81,48 @@ def test_decode_rejects_garbage():
     with pytest.raises(CodecError):
         decode(bytes(frame))
     with pytest.raises(CodecError):
-        decode(_frame(b"\x20\x00\x01" + b"\x00\x00\x00\x02\xff\xfe"))  # ERROR message not UTF-8
+        decode(_frame(b"\x20\x00\x01" + b"\xff\xfe"))  # ERROR message not UTF-8
 
 
 def test_retired_insert_opcode_is_unknown():
     # 0x03 once carried (u64 j_left, u64 j_right, cell blob)
     with pytest.raises(CodecError, match="unknown opcode 0x03"):
         decode(_frame(b"\x03" + bytes(16) + b"\x00\x00\x00\x01c"))
+
+
+# one frame per opcode, byte for byte as docs/protocol.md lays it out:
+# length, opcode, the fixed fields, then the rest of the frame
+GOLDEN_FRAMES = [
+    (GetRange(2, 3), "00000011 01 0000000000000002 0000000000000003"),
+    (InsertAt(5, b"cell"), "0000000d 02 0000000000000005 63656c6c"),
+    (Length(), "00000001 04"),
+    (RebalanceHint(7), "00000009 05 0000000000000007"),
+    (Save(), "00000001 06"),
+    (ErrorMsg(2, "no"), "00000005 20 0002 6e6f"),
+    (Cells(2, b"abcd"), "00000009 21 00000002 61626364"),
+    (Ok(b"\x01"), "00000002 22 01"),
+    (Len(5), "00000009 23 0000000000000005"),
+]
+
+
+@pytest.mark.parametrize("msg, frame", GOLDEN_FRAMES, ids=[type(msg).__name__ for msg, _ in GOLDEN_FRAMES])
+def test_golden_frame_per_opcode(msg, frame):
+    assert encode(msg) == bytes.fromhex(frame)
+    assert decode(bytes.fromhex(frame)) == msg
+
+
+def test_golden_frames_cover_every_opcode():
+    assert sorted(bytes.fromhex(frame)[4] for _, frame in GOLDEN_FRAMES) == sorted(transport.LAYOUT)
+
+
+@pytest.mark.parametrize(
+    "msg",
+    [GetRange(-1, 1), InsertAt(1 << 64, b"c"), Len(-3), ErrorMsg(70000, "x"), ErrorMsg(1, "\ud800")],
+    ids=repr,
+)
+def test_encode_refuses_a_field_it_cannot_write(msg):
+    with pytest.raises(CodecError, match="cannot encode"):
+        encode(msg)
 
 
 def test_len_carries_only_the_count():
@@ -295,19 +333,22 @@ def test_an_empty_store_takes_the_width_of_its_first_cell():
 
 class _FaultyStore(DenseStore):
     """A dense store whose ranged reads answer with one cell too many, one
-    too few, or every cell a byte short."""
+    too few, or every cell a byte short (and the width one byte less)."""
 
     def __init__(self, cells, fault):
         super().__init__(cells, rng=random.Random(10))
         self.fault = fault
+        self.cell_len = self.width
+        if fault == "width":
+            self.width -= 1
 
     def get_range(self, start, count):
-        cells = super().get_range(start, count)
+        block, w = super().get_range(start, count), self.cell_len
         if self.fault == "more":
-            return cells + cells[:1]
+            return block + block[:w]
         if self.fault == "fewer":
-            return cells[:-1]
-        return [cell[:-1] for cell in cells]
+            return block[:-w]
+        return b"".join(block[i : i + w - 1] for i in range(0, len(block), w))
 
 
 @pytest.mark.parametrize("fault", ["more", "fewer", "width"])
@@ -454,7 +495,7 @@ def test_tcp_rejects_non_request_frames(tcp_server):
 def test_tcp_answers_an_error_frame_that_is_not_utf8_with_bad_request(tcp_server):
     server, _ = tcp_server
     with socket.create_connection(server.server_address, timeout=5) as sock:
-        sock.sendall(_frame(b"\x20\x00\x01" + b"\x00\x00\x00\x01\xff"))
+        sock.sendall(_frame(b"\x20\x00\x01" + b"\xff"))
         resp = sock.recv(1 << 16)
     msg = decode(resp)
     assert isinstance(msg, ErrorMsg) and msg.code == 1
@@ -467,6 +508,28 @@ def test_tcp_rejects_garbage_bytes(tcp_server):
         sock.sendall(b"\x00\x00\x00\x02\xff\xff")
         resp = sock.recv(1 << 16)
     assert isinstance(decode(resp), ErrorMsg)
+
+
+RAW_CLIENT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "raw_client.py"
+
+
+def test_raw_client_script_speaks_the_documented_layout(tcp_server):
+    # the script imports only socket, struct and sys, so it checks the
+    # served bytes against docs/protocol.md and not against this codec
+    imports = [
+        alias.name
+        for node in ast.walk(ast.parse(RAW_CLIENT.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert sorted(imports) == ["socket", "struct", "sys"]
+    server, store = tcp_server
+    host, port = server.server_address
+    run = subprocess.run(
+        [sys.executable, str(RAW_CLIENT), f"{host}:{port}"], capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert store.logical_cells() == [bytes(range(36))]
 
 
 def test_tcp_sockets_send_without_delay():
