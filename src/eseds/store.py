@@ -6,11 +6,12 @@ cell (from the constructor, ``load`` or the first insert); the only structure
 the server maintains is their order.  Both stores take the same insert,
 ``insert_at(l, cell)`` at logical slot ``0 <= l <= n``, and lay the cells
 out their own way (dense mode: an array with shift-insert plus a fresh
-random rotation per insert; decoupled mode: an ordered map from sparse
-indices to cells with midpoint insertion and a background rebalancer).
+random rotation per insert; decoupled mode: sparse indices and cells in
+two parallel lists, with midpoint insertion and a background rebalancer).
 
-A decoupled rebalance pass is built beside the live entries and swapped in
-by its last step, so reads between steps see the pre-pass order.
+A decoupled rebalance pass only counts its hints down; the hint that ends it
+re-spaces and rotates the live entries at once, so reads between hints see
+the pre-pass order and an insert between hints does not restart the pass.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import secrets
 import stat
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import islice
 
 MAGIC = b"ESEDS\x00"
@@ -81,6 +81,11 @@ def write_header(sink: io.BufferedIOBase, mode: int, domain_bits: int, count: in
     sink.write(_HEADER.pack(VERSION, mode, domain_bits, count))
 
 
+def _index_bits_ok(mode: int, bits: int) -> bool:
+    """An index width is a multiple of 8 in [8, 32768] in decoupled mode, 0 in any other."""
+    return 8 <= bits <= 1 << 15 and bits % 8 == 0 if mode == MODE_DECOUPLED else bits == 0
+
+
 def read_header(src: io.BufferedIOBase) -> tuple[int, int, int]:
     """Returns (mode, domain_bits, count); raises FormatError on mismatch."""
     if read_exact(src, len(MAGIC)) != MAGIC:
@@ -88,6 +93,8 @@ def read_header(src: io.BufferedIOBase) -> tuple[int, int, int]:
     version, mode, domain_bits, count = _HEADER.unpack(read_exact(src, _HEADER.size))
     if version != VERSION:
         raise FormatError(f"unsupported store version {version}")
+    if not _index_bits_ok(mode, domain_bits):
+        raise FormatError(f"index width {domain_bits} is not valid in mode {mode}")
     return mode, domain_bits, count
 
 
@@ -121,6 +128,17 @@ def _one_width(cells, error: type[StoreError] = StoreError) -> int:
     if len(widths) > 1 or 0 in widths:
         raise error(f"cells differ in width or are empty: widths {min(widths)}..{max(widths)}")
     return widths.pop() if widths else 0
+
+
+def _cyclic_read(cells: list[bytes], start: int, count: int, offset: int = 0) -> bytes:
+    """Logical cells start, start+1, ... (count of them, wrapping past n-1)
+    as one block, where logical cell j is ``cells[(offset + j) % n]``."""
+    n = len(cells)
+    if not (0 <= start < n and 1 <= count <= n):
+        raise OutOfRange(f"range of {count} from {start} out of range for {n} cells")
+    p = (offset + start) % n
+    end = p + count
+    return b"".join(cells[p:end] if end <= n else cells[p:] + cells[: end - n])
 
 
 def _width_after(width: int, cell: bytes) -> int:
@@ -193,7 +211,7 @@ class DenseStore:
     domain_bits = 0  # no sparse indices in this mode
 
     def __init__(self, cells: list[bytes] | None = None, *, rng: random.Random | None = None):
-        self._cells: list[bytes] = list(cells) if cells else []
+        self._cells: list[bytes] = list(map(bytes, cells)) if cells else []
         self.width = _one_width(self._cells)
         self._start = 0
         self._rng = rng if rng is not None else random.SystemRandom()
@@ -209,12 +227,7 @@ class DenseStore:
 
     def get_range(self, start: int, count: int) -> bytes:
         """Logical cells start, start+1, ... (count of them, wrapping past n-1) as one block."""
-        cells, n = self._cells, len(self._cells)
-        if not (0 <= start < n and 1 <= count <= n):
-            raise OutOfRange(f"range of {count} from {start} out of range for {n} cells")
-        p = (self._start + start) % n
-        end = p + count
-        return b"".join(cells[p:end] if end <= n else cells[p:] + cells[: end - n])
+        return _cyclic_read(self._cells, start, count, self._start)
 
     def insert_at(self, l: int, cell: bytes) -> None:
         """Insert at logical slot l (0 <= l <= n), then rotate by a fresh
@@ -259,14 +272,8 @@ class DenseStore:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Entry:
-    sparse: int
-    cell: bytes
-
-
 class DecoupledStore:
-    """Sorted map from sparse indices to cells; rank = position in sparse order.
+    """Sparse indices and cells in two parallel lists; rank = list position.
 
     Inserts go to the midpoint of the two neighboring sparse indices and so
     return immediately; a gap of <= 1 leaves no free midpoint and triggers a
@@ -278,15 +285,14 @@ class DecoupledStore:
     mode = MODE_DECOUPLED
 
     def __init__(self, index_bits: int = DEFAULT_INDEX_BITS, *, rng: random.Random | None = None):
-        if not 8 <= index_bits <= 1 << 15 or index_bits % 8:
+        if not _index_bits_ok(MODE_DECOUPLED, index_bits):
             raise StoreError(f"index_bits must be a multiple of 8 in [8, 32768], got {index_bits}")
         self.domain_bits = index_bits
         self.width = 0  # no cells yet
-        self._entries: list[_Entry] = []
+        self._sparse: list[int] = []
+        self._cells: list[bytes] = []
         self._rng = rng if rng is not None else random.SystemRandom()
-        # pass in progress: its cells in rotated rank order, and the re-spaced
-        # entries built so far
-        self._pass: tuple[list[bytes], list[_Entry]] | None = None
+        self._pass_left: int | None = None  # entries the pass in progress has yet to cover
         self.collisions = 0  # forced local rebalances observed (test visibility)
 
     @property
@@ -294,33 +300,29 @@ class DecoupledStore:
         return 1 << self.domain_bits
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._cells)
 
     def get_cell(self, j: int) -> bytes:
-        if not 0 <= j < len(self._entries):
-            raise OutOfRange(f"rank {j} out of range for {len(self._entries)} cells")
-        return self._entries[j].cell
+        if not 0 <= j < len(self._cells):
+            raise OutOfRange(f"rank {j} out of range for {len(self._cells)} cells")
+        return self._cells[j]
 
     def get_range(self, start: int, count: int) -> bytes:
         """Cells of ranks start, start+1, ... (count of them, wrapping past n-1) as one block."""
-        entries, n = self._entries, len(self._entries)
-        if not (0 <= start < n and 1 <= count <= n):
-            raise OutOfRange(f"range of {count} from {start} out of range for {n} cells")
-        end = start + count
-        return b"".join([e.cell for e in entries[start:end]] + [e.cell for e in entries[: max(0, end - n)]])
+        return _cyclic_read(self._cells, start, count)
 
     def sparse_indices(self) -> list[int]:
-        return [e.sparse for e in self._entries]
+        return list(self._sparse)
 
     def logical_cells(self) -> list[bytes]:
-        return [e.cell for e in self._entries]
+        return list(self._cells)
 
     def _gap(self, l: int) -> tuple[int, int]:
         """Sparse indices of ranks l-1 and l, with the ends of the index
         space standing in past the ends of the store."""
-        entries = self._entries
-        lo = entries[l - 1].sparse if l else 0
-        hi = entries[l].sparse if l < len(entries) else self.index_space
+        sparse = self._sparse
+        lo = sparse[l - 1] if l else 0
+        hi = sparse[l] if l < len(sparse) else self.index_space
         return lo, hi
 
     def insert_at(self, l: int, cell: bytes) -> None:
@@ -328,7 +330,7 @@ class DecoupledStore:
         index between ranks l-1 and l.  A gap of <= 1 is recovered by a
         synchronous local rebalance and a single retry."""
         width = _width_after(self.width, cell)
-        n = len(self._entries)
+        n = len(self._cells)
         if not 0 <= l <= n:
             raise OutOfRange(f"slot {l} out of range for {n} cells")
         lo, hi = self._gap(l)
@@ -338,18 +340,19 @@ class DecoupledStore:
             lo, hi = self._gap(l)
             if hi - lo <= 1:
                 raise StoreFull("sparse index space exhausted")
-        self._entries.insert(l, _Entry((hi - lo) // 2 + lo, bytes(cell)))
-        self._pass = None  # a pass in progress restarts from the new order
+        self._sparse.insert(l, (hi - lo) // 2 + lo)
+        self._cells.insert(l, bytes(cell))
         self.width = width
 
     def _local_rebalance(self, l: int) -> None:
         """Re-space the smallest window of ranks around slot l so every gap
         inside it is >= 2, growing the window until there is slack."""
-        n = len(self._entries)
+        sparse = self._sparse
+        n = len(sparse)
         wl, wr = max(0, l - 1), min(l, n - 1)
         while True:
-            lo = 0 if wl == 0 else self._entries[wl - 1].sparse
-            hi = self.index_space if wr == n - 1 else self._entries[wr + 1].sparse
+            lo = 0 if wl == 0 else sparse[wl - 1]
+            hi = self.index_space if wr == n - 1 else sparse[wr + 1]
             count = wr - wl + 1
             step = (hi - lo) // (count + 1)
             if step >= 2:
@@ -358,38 +361,35 @@ class DecoupledStore:
                 raise StoreFull("sparse index space exhausted")
             wl = max(0, wl - 1)
             wr = min(n - 1, wr + 1)
-        for i in range(count):
-            self._entries[wl + i].sparse = lo + (i + 1) * step
+        sparse[wl : wr + 1] = range(lo + step, lo + (count + 1) * step, step)
 
     # -- background rebalancer ------------------------------------------------
 
     def rebalance_step(self, batch: int) -> bool:
-        """Advance the rebalance pass by up to ``batch`` entries (batch <= 0
+        """Count the rebalance pass down by ``batch`` entries (batch <= 0
         finishes it); True when this step completed the pass.
 
-        A pass starts on the first step, or the first after a mutation: it
-        draws one rotation offset and snapshots the cells in rotated rank
-        order.  Post-rotation rank p gets sparse index (p+1) * floor(space/(n+1)),
-        so every gap is exactly the step and the division remainder sits above
-        the top entry.  The new entries are built beside ``_entries`` and swapped
-        in by the step that completes the pass, so reads between steps see the
-        pre-pass order and no live entry is touched mid-pass.
+        A pass covers the n entries the store holds at its first step.  The
+        step that completes it does the whole O(n) re-spacing: one rotation
+        draw, then post-rotation rank p of the live cells gets sparse index
+        (p+1) * floor(space/(n+1)) for the n of that moment, so every gap is
+        exactly the step and the division remainder sits above the top entry.
+        Until then no entry moves, so reads between steps see the pre-pass
+        order, and an insert between steps neither restarts nor extends the
+        pass: the result depends only on the live cells and the rotation.
         """
-        if self._pass is None:
-            n = len(self._entries)
-            rotation = self._rng.randrange(n) if n else 0
-            if n and self.index_space // (n + 1) < 1:
-                raise StoreFull("too many cells for the sparse index space")
-            cells = [e.cell for e in self._entries]
-            self._pass = (cells[rotation:] + cells[:rotation], [])
-        cells, built = self._pass
-        n = len(cells)
-        step = self.index_space // (n + 1)
-        end = n if batch <= 0 else min(len(built) + batch, n)
-        built.extend(_Entry((p + 1) * step, cells[p]) for p in range(len(built), end))
-        if end < n:
+        left = len(self._cells) if self._pass_left is None else self._pass_left
+        if 0 < batch < left:
+            self._pass_left = left - batch
             return False
-        self._entries, self._pass = built, None
+        self._pass_left = None
+        n = len(self._cells)
+        step = self.index_space // (n + 1)
+        if step < 1:
+            raise StoreFull("too many cells for the sparse index space")
+        rotation = self._rng.randrange(n) if n else 0
+        self._cells = self._cells[rotation:] + self._cells[:rotation]
+        self._sparse = list(range(step, (n + 1) * step, step))
         return True
 
     def rebalance(self) -> None:
@@ -398,9 +398,9 @@ class DecoupledStore:
 
     def save(self, sink) -> None:
         with _as_writer(sink) as out:
-            write_header(out, self.mode, self.domain_bits, len(self._entries))
+            write_header(out, self.mode, self.domain_bits, len(self._cells))
             width = self.domain_bits // 8
-            records = (e.sparse.to_bytes(width, "big") + blob(e.cell) for e in self._entries)
+            records = (s.to_bytes(width, "big") + blob(c) for s, c in zip(self._sparse, self._cells))
             write_records(out, records)
 
     @classmethod
@@ -413,16 +413,15 @@ class DecoupledStore:
             if sparse <= prev:
                 raise FormatError("sparse indices not strictly increasing")
             prev = sparse
-            store._entries.append(_Entry(sparse, read_blob(src)))
+            store._sparse.append(sparse)
+            store._cells.append(read_blob(src))
         expect_eof(src)
         return store
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DecoupledStore):
             return NotImplemented
-        return self.domain_bits == other.domain_bits and [
-            (e.sparse, e.cell) for e in self._entries
-        ] == [(e.sparse, e.cell) for e in other._entries]
+        return (self.domain_bits, self._sparse, self._cells) == (other.domain_bits, other._sparse, other._cells)
 
 
 def load(source):

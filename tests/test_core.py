@@ -520,7 +520,8 @@ def test_decoupled_reads_between_rebalance_hints_match_oracle(key):
                 v for v in model if in_cyclic(v, q.a, q.b, dom.size)
             ), q
         assert top_k(key, session, 5, dom) == sorted(model)[:5]
-    # an insert between hints restarts the pass from the post-insert order
+    # an insert between hints does not restart the pass: the hint that ends
+    # it re-spaces the post-insert order
     assert not session.rebalance(1) and not session.rebalance(1)
     insert(key, session, 17, dom, coins=CoinSource(5))
     model.append(17)

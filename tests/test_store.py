@@ -1,6 +1,7 @@
 """Server-side containers: dense array semantics, decoupled sparse map,
 rebalancing, and the on-disk format."""
 
+import gc
 import io
 import itertools
 import os
@@ -10,7 +11,8 @@ import stat
 import pytest
 
 import eseds.store as store_mod
-from eseds.core import CoinSource
+from eseds.cli.bench import bulk_store
+from eseds.core import CoinSource, Domain
 from eseds.store import (
     MAGIC,
     MODE_DECOUPLED,
@@ -29,7 +31,7 @@ from eseds.store import (
     load,
 )
 
-from eseds.transforms import build_det, build_fhope, build_ope
+from eseds.transforms import build_det, build_fhope, build_ope, load_any
 
 from helpers import chi_square_uniform_p, reference_store_file
 
@@ -107,6 +109,14 @@ def test_dense_unseeded_rotation_uses_store_rng():
     assert st == want
 
 
+def test_dense_store_holds_plain_bytes(key):
+    # encrypt returns a bytes subclass; the store keeps untracked plain bytes
+    st = bulk_store(key, list(range(50)), Domain(64), random.Random(3))
+    assert len(st) == 50
+    for cell in st.logical_cells():
+        assert type(cell) is bytes and not gc.is_tracked(cell)
+
+
 # ---------------------------------------------------------------------------
 # decoupled mode
 # ---------------------------------------------------------------------------
@@ -125,9 +135,9 @@ def test_decoupled_midpoint_insert_pinned():
 def test_decoupled_insert_between_neighbors():
     st = DecoupledStore(index_bits=16)
     st.insert_at(0, b"A")
-    st._entries[0].sparse = 100
+    st._sparse[0] = 100
     st.insert_at(1, b"C")
-    st._entries[1].sparse = 900
+    st._sparse[1] = 900
     st.insert_at(1, b"B")
     assert st.sparse_indices() == [100, 500, 900]
     assert st.get_cell(1) == b"B"
@@ -136,9 +146,9 @@ def test_decoupled_insert_between_neighbors():
 def test_decoupled_rank_order_lookup():
     st = DecoupledStore(index_bits=16)
     st.insert_at(0, b"A")
-    st._entries[0].sparse = 100
+    st._sparse[0] = 100
     st.insert_at(1, b"B")
-    st._entries[1].sparse = 900
+    st._sparse[1] = 900
     assert st.get_cell(1) == b"B"
     with pytest.raises(OutOfRange):
         st.get_cell(2)
@@ -178,8 +188,7 @@ def test_decoupled_collision_triggers_local_rebalance():
     st = DecoupledStore(index_bits=16)
     st.insert_at(0, b"A")
     st.insert_at(1, b"B")
-    st._entries[0].sparse = 7
-    st._entries[1].sparse = 8
+    st._sparse[:] = [7, 8]
     st.insert_at(1, b"C")
     assert st.collisions == 1
     assert [st.get_cell(j) for j in range(3)] == [b"A", b"C", b"B"]
@@ -263,16 +272,52 @@ def test_rebalance_batched_equals_one_shot():
     assert a.logical_cells() == b.logical_cells()
 
 
-def test_rebalance_restarts_after_mutation():
+def test_rebalance_pass_after_mutation_spaces_the_post_insert_order():
     st = _spaced_store(6, seed=4)
     assert not st.rebalance_step(2)
     st.insert_at(6, b"z")  # mutate mid-pass
-    assert st.rebalance_step(0)  # restarts from the post-insert order
-    idx = st.sparse_indices()
+    assert not st.rebalance_step(2)  # the insert does not restart the pass
+    assert st.rebalance_step(2)  # it ends after the 6 entries it began with
+    idx = st.sparse_indices()  # and spaces all 7 live ones
     gaps = [b - a for a, b in zip(idx, idx[1:])]
     assert len(set(gaps)) == 1 and len(idx) == 7
     ranks = [bytes([i]) for i in range(6)] + [b"z"]
     assert st.logical_cells() in [ranks[s:] + ranks[:s] for s in range(7)]
+
+
+def test_rebalance_passes_complete_under_steady_inserts():
+    # 3 random inserts per 10 hints of 64: each pass ends after ceil(n0 / 64)
+    # hints, n0 being the size at its first hint, and leaves equal gaps and a
+    # rotation of the live order, inserts made mid-pass included
+    rng = random.Random(14)
+    st = DecoupledStore(rng=random.Random(15))
+    order = [i.to_bytes(4, "big") for i in range(2000)]
+    for l, cell in enumerate(order):
+        st.insert_at(l, cell)
+    hints, passes, n0 = 0, 0, None
+    for block in range(40):
+        mix = ["hint"] * 10 + ["insert"] * 3
+        rng.shuffle(mix)
+        for kind in mix:
+            if kind == "insert":
+                l = rng.randrange(len(order) + 1)
+                cell = len(order).to_bytes(4, "big")
+                st.insert_at(l, cell)
+                order.insert(l, cell)
+                continue
+            n0 = len(st) if n0 is None else n0
+            hints += 1
+            if not st.rebalance_step(64):
+                continue
+            assert hints == -(-n0 // 64), (passes, hints, n0)
+            after = st.logical_cells()
+            s = order.index(after[0])  # cells are distinct
+            assert after == order[s:] + order[:s]
+            step = st.index_space // (len(order) + 1)
+            assert st.sparse_indices() == [(p + 1) * step for p in range(len(order))]
+            order, hints, n0 = after, 0, None
+            passes += 1
+    assert passes >= 11  # 400 hints, at most ceil(2120 / 64) = 34 per pass
 
 
 def test_rebalance_unique_indices_at_every_batch_boundary():
@@ -303,10 +348,9 @@ def test_rebalance_rotation_uniformity():
 
 def test_rebalance_too_full():
     # more entries than the space can hold one step apart
-    from eseds.store import _Entry
-
     st = DecoupledStore(index_bits=8)
-    st._entries = [_Entry(i, bytes([i])) for i in range(256)]
+    st._sparse = list(range(256))
+    st._cells = [bytes([i]) for i in range(256)]
     with pytest.raises(StoreFull):
         st.rebalance()
 
@@ -375,6 +419,25 @@ def test_load_rejects_transform_modes():
     blob[8] = 3  # mode byte inside the header
     with pytest.raises(ModeError):
         load(io.BytesIO(bytes(blob)))
+
+
+@pytest.mark.parametrize(
+    "mode, index_bits, records",
+    [
+        (MODE_DECOUPLED, 12, [(1, b"abcd")]),
+        (MODE_DECOUPLED, 0, []),
+        (MODE_DECOUPLED, 32776, [(1, b"abcd")]),
+        (MODE_DENSE, 12, [b"abcd"]),
+        (MODE_DENSE, 256, [b"abcd"]),
+        (MODE_FHOPE, 8, []),
+    ],
+)
+def test_load_rejects_an_index_width_the_mode_does_not_allow(mode, index_bits, records):
+    # a multiple of 8 in [8, 32768] in decoupled mode, 0 in every other
+    blob = reference_store_file(mode, records, index_bits=index_bits)
+    for loader in (load, load_any):
+        with pytest.raises(FormatError, match="index width"):
+            loader(io.BytesIO(blob))
 
 
 @pytest.mark.parametrize("widths", [(4, 4, 2), (4, 5), (0, 0)])
