@@ -126,13 +126,15 @@ class _OpView:
         self._block = block
 
     def value(self, j: int) -> int:
-        if j not in self._values:
-            if self._block is None:
+        v = self._values.get(j)
+        if v is None:
+            block = self._block
+            if block is None:
                 cell = self._session.get_cell(j, CELL_LEN)
             else:
-                cell = self._block[j * CELL_LEN : (j + 1) * CELL_LEN]
-            self._values[j] = self._decrypt(j, cell)
-        return self._values[j]
+                cell = block[j * CELL_LEN : (j + 1) * CELL_LEN]
+            v = self._values[j] = self._decrypt(j, cell)
+        return v
 
     def values(self, start: int, count: int, n: int) -> list[int]:
         """Values of ``count`` cells read cyclically from ``start`` of an
@@ -141,10 +143,14 @@ class _OpView:
             block, first = self._session.get_range(start, count, n, CELL_LEN), 0
         else:
             block, first = self._block, start
+        key, size = self._key, self._dom.size
         out = []
         for i in range(count):
-            j = (first + i) % n
-            out.append(self._decrypt((start + i) % n, block[j * CELL_LEN : (j + 1) * CELL_LEN]))
+            p = (first + i) % n * CELL_LEN
+            v = decrypt(key, block[p : p + CELL_LEN])
+            if v >= size:
+                raise ProtocolError(f"cell {(start + i) % n} decrypts outside the domain")
+            out.append(v)
         return out
 
     def _decrypt(self, j: int, cell: bytes) -> int:

@@ -132,11 +132,14 @@ def _one_width(cells, error: type[StoreError] = StoreError) -> int:
 
 def _cyclic_read(cells: list[bytes], start: int, count: int, offset: int = 0) -> bytes:
     """Logical cells start, start+1, ... (count of them, wrapping past n-1)
-    as one block, where logical cell j is ``cells[(offset + j) % n]``."""
+    as one block, where logical cell j is ``cells[(offset + j) % n]``.  One
+    cell is returned as it is stored."""
     n = len(cells)
     if not (0 <= start < n and 1 <= count <= n):
         raise OutOfRange(f"range of {count} from {start} out of range for {n} cells")
     p = (offset + start) % n
+    if count == 1:
+        return cells[p]
     end = p + count
     return b"".join(cells[p:end] if end <= n else cells[p:] + cells[: end - n])
 

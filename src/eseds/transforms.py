@@ -250,7 +250,7 @@ def build_det(
         else:
             j = _occupy(taken, prf(key, m, n))
         slots[j] = ChainSlot(
-            encrypt(key, m, domain_size), encrypt(key, rid, 1 << 64), NO_NEXT
+            bytes(encrypt(key, m, domain_size)), bytes(encrypt(key, rid, 1 << 64)), NO_NEXT
         )
         values[j] = m
         tail[m] = j
@@ -269,13 +269,17 @@ def build_ope(key: SecretKey, plaintexts: list[int], domain_size: int) -> OpeEse
     rid = 0
     for rank, v in enumerate(distinct):
         j = rank
-        slots[j] = ChainSlot(encrypt(key, v, domain_size), encrypt(key, rid, 1 << 64), NO_NEXT)
+        slots[j] = ChainSlot(
+            bytes(encrypt(key, v, domain_size)), bytes(encrypt(key, rid, 1 << 64)), NO_NEXT
+        )
         values[j] = v
         rid += 1
         for _ in range(counts[v] - 1):
             slots[j].next = next_free
             j = next_free
-            slots[j] = ChainSlot(encrypt(key, v, domain_size), encrypt(key, rid, 1 << 64), NO_NEXT)
+            slots[j] = ChainSlot(
+                bytes(encrypt(key, v, domain_size)), bytes(encrypt(key, rid, 1 << 64)), NO_NEXT
+            )
             values[j] = v
             rid += 1
             next_free += 1
@@ -302,7 +306,7 @@ def build_fhope(
             run[t], run[s] = run[s], run[t]
         order[i:j] = run
         i = j
-    cells = [encrypt(key, plaintexts[i], domain_size) for i in order]
+    cells = [bytes(encrypt(key, plaintexts[i], domain_size)) for i in order]
     values = [plaintexts[i] for i in order]
     out = FhopeEseds(cells, values)
     out.placement = order  # occurrence index per position, for tie tests

@@ -76,12 +76,13 @@ class ServerError(TransportError):
 
 
 # ---------------------------------------------------------------------------
-# messages (slotted: a frozen dataclass without slots takes about twice as
-# long to build, and every request builds two messages on each side)
+# messages (slotted and not frozen: a frozen dataclass sets every field
+# through object.__setattr__ and takes about twice as long to build, and
+# every request builds two messages on each side)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class GetRange:
     """``count`` cells read cyclically from index ``start``."""
 
@@ -89,34 +90,34 @@ class GetRange:
     count: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class InsertAt:
     l: int
     cell: bytes
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Length:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RebalanceHint:
     batch: int = 0  # 0 = run the pass to completion
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Save:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ErrorMsg:
     code: int
     message: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Cells:
     """Cells of ``width`` bytes each, back to back in ``data``."""
 
@@ -124,12 +125,12 @@ class Cells:
     data: bytes
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Ok:
     data: bytes = b""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Len:
     count: int
 
@@ -166,20 +167,31 @@ def _getter(names: list[str]):
     return lambda msg: ()
 
 
+def _head(fixed: struct.Struct) -> struct.Struct:
+    """The struct of a frame up to its rest: length, opcode, then the fixed
+    fields; the whole frame when there is no rest."""
+    return struct.Struct(_HEAD.format + fixed.format.lstrip(">"))
+
+
 def _encoding(opcode: int, cls: type, fixed: struct.Struct, rest: bool) -> tuple:
     """How ``encode`` writes a message of type ``cls``: the opcode, the frame
     length without the rest, a getter of every field, whether the last field
-    is the rest, and a packer.  Without a rest the packer writes the whole
-    frame, with its length and opcode bound in; with one, only the fixed
-    fields."""
+    is the rest, and a packer of the frame up to its rest.  Without a rest
+    the packer writes the whole frame, with its length and opcode bound in;
+    with one, it takes the length and opcode first."""
     getter = _getter([f.name for f in fields(cls)])
+    head = _head(fixed)
     if rest:
-        return opcode, 1 + fixed.size, getter, True, fixed.pack
-    head = struct.Struct(_HEAD.format + fixed.format.lstrip(">"))
+        return opcode, 1 + fixed.size, getter, True, head.pack
     return opcode, 1 + fixed.size, getter, False, partial(head.pack, 1 + fixed.size, opcode)
 
 
 _ENCODING = {row[0]: _encoding(opcode, *row) for opcode, row in LAYOUT.items()}
+
+#: opcode -> (message type, struct of the frame up to its rest, whether the
+#: rest of the frame is the last field): ``decode`` reads the length, the
+#: opcode and the fixed fields in one unpack
+_DECODING = {opcode: (cls, _head(fixed), rest) for opcode, (cls, fixed, rest) in LAYOUT.items()}
 
 
 def encode(msg: Message) -> bytes:
@@ -202,7 +214,7 @@ def encode(msg: Message) -> bytes:
         length += len(tail)
         if length > MAX_FRAME:
             raise CodecError(f"frame of {length} bytes exceeds the 16 MiB cap")
-        return _HEAD.pack(length, opcode) + pack(*values[:-1]) + tail
+        return pack(length, opcode, *values[:-1]) + tail
     except (struct.error, UnicodeEncodeError) as e:
         raise CodecError(f"cannot encode {type(msg).__name__}: {e}") from None
 
@@ -210,36 +222,45 @@ def encode(msg: Message) -> bytes:
 def decode(frame: bytes) -> Message:
     """Parse a complete frame back into a message, rejecting any malformation."""
     size = len(frame)
+    row = _DECODING.get(frame[4]) if size > 4 else None
+    if row is not None:
+        cls, head, rest = row
+        end = head.size
+        if size == end or (rest and size > end):
+            values = head.unpack_from(frame)  # length, opcode, fixed fields
+            if values[0] == size - 4 <= MAX_FRAME:
+                if not rest:
+                    return cls(*values[2:])
+                tail = frame[end:]
+                if cls is Cells:
+                    width = values[2]
+                    if width < 1 or len(tail) % width:
+                        raise CodecError(f"{len(tail)} bytes are not whole cells of width {width}")
+                elif cls is ErrorMsg:
+                    try:
+                        tail = tail.decode()
+                    except UnicodeDecodeError as e:
+                        raise CodecError(f"ERROR message is not UTF-8: {e}") from None
+                return cls(*values[2:], tail)
+    raise _malformed(frame)
+
+
+def _malformed(frame: bytes) -> CodecError:
+    """Why ``decode`` cannot parse ``frame``: the first of its checks, in
+    order, that the frame fails."""
+    size = len(frame)
     if size < 5:
-        raise CodecError("frame shorter than header")
+        return CodecError("frame shorter than header")
     length, opcode = _HEAD.unpack_from(frame)
     if length > MAX_FRAME:
-        raise CodecError(f"declared length {length} exceeds the 16 MiB cap")
+        return CodecError(f"declared length {length} exceeds the 16 MiB cap")
     if length != size - 4:
-        raise CodecError("frame length mismatch")
-    try:
-        cls, fixed, rest = LAYOUT[opcode]
-    except KeyError:
-        raise CodecError(f"unknown opcode 0x{opcode:02x}") from None
-    end = 5 + fixed.size
-    if size < end:
-        raise CodecError("truncated frame")
-    values = fixed.unpack_from(frame, 5)
-    if not rest:
-        if size != end:
-            raise CodecError("trailing bytes in frame")
-        return cls(*values)
-    tail = frame[end:]
-    if opcode == CELLS:
-        width = values[0]
-        if width < 1 or len(tail) % width:
-            raise CodecError(f"{len(tail)} bytes are not whole cells of width {width}")
-    elif opcode == ERROR:
-        try:
-            tail = tail.decode()
-        except UnicodeDecodeError as e:
-            raise CodecError(f"ERROR message is not UTF-8: {e}") from None
-    return cls(*values, tail)
+        return CodecError("frame length mismatch")
+    if opcode not in LAYOUT:
+        return CodecError(f"unknown opcode 0x{opcode:02x}")
+    if size < 5 + LAYOUT[opcode][1].size:
+        return CodecError("truncated frame")
+    return CodecError("trailing bytes in frame")
 
 
 # ---------------------------------------------------------------------------
@@ -276,22 +297,25 @@ class StoreServer:
 
     def _dispatch(self, msg: Message) -> Message:
         store = self.store
-        if isinstance(msg, GetRange):
-            data = store.get_range(msg.start, msg.count)
-            size = 5 + len(data)  # opcode, width, cells
-            if size > MAX_FRAME:
-                return ErrorMsg(E_BAD_REQUEST, f"{msg.count} cells need a {size}-byte frame, over the cap")
-            return Cells(store.width, data)
-        if isinstance(msg, InsertAt):
+        kind = type(msg)
+        if kind is GetRange:
+            start, count = msg.start, msg.count
+            size = 5 + count * store.width  # opcode, width, cells
+            # refuse an answer over the cap before reading it; a range the
+            # store would refuse is left to the store, so it stays out_of_range
+            if size > MAX_FRAME and 0 <= start < len(store) and count <= len(store):
+                return ErrorMsg(E_BAD_REQUEST, f"{count} cells need a {size}-byte frame, over the cap")
+            return Cells(store.width, store.get_range(start, count))
+        if kind is InsertAt:
             store.insert_at(msg.l, msg.cell)
             return Ok()
-        if isinstance(msg, Length):
+        if kind is Length:
             return Len(len(store))
-        if isinstance(msg, RebalanceHint):
+        if kind is RebalanceHint:
             if store.mode != store_mod.MODE_DECOUPLED:
                 raise store_mod.ModeError("REBALANCE_HINT requires a decoupled store")
             return Ok(bytes([store.rebalance_step(msg.batch)]))
-        if isinstance(msg, Save):
+        if kind is Save:
             if self.save_path is None:
                 return ErrorMsg(E_NO_SAVE_PATH, "server has no configured save path")
             store.save(self.save_path)
@@ -304,11 +328,19 @@ class StoreServer:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionStats:
     requests_sent: int = 0
     cells_fetched: int = 0
     bytes_on_wire: int = 0
+
+
+def _unexpected(resp: Message, want: type) -> TransportError:
+    """The error to raise for ``resp`` where a ``want`` was expected: the
+    server's error, or a TransportError naming the type that came."""
+    if type(resp) is ErrorMsg:
+        return ServerError(resp.code, resp.message)
+    return TransportError(f"expected {want.__name__}, got {type(resp).__name__}")
 
 
 class _SessionBase:
@@ -329,26 +361,26 @@ class _SessionBase:
         frame = self._exchange(out)
         stats.bytes_on_wire += len(frame)
         resp = decode(frame)
-        if isinstance(resp, Cells):
+        if type(resp) is Cells:
             stats.cells_fetched += len(resp.data) // resp.width
         return resp
 
     def _expect(self, msg: Message, want: type) -> Message:
         resp = self.request(msg)
-        if isinstance(resp, ErrorMsg):
-            raise ServerError(resp.code, resp.message)
-        if not isinstance(resp, want):
-            raise TransportError(f"expected {want.__name__}, got {type(resp).__name__}")
+        if type(resp) is not want:
+            raise _unexpected(resp, want)
         return resp
 
     def _cells(self, msg: GetRange, cell_len: int) -> bytes:
-        resp = self._expect(msg, Cells)
-        if resp.width != cell_len or len(resp.data) != msg.count * cell_len:
-            raise TransportError(
-                f"asked for {msg.count} cells of {cell_len} bytes, got {len(resp.data)} bytes "
-                f"of {resp.width}-byte cells"
-            )
-        return resp.data
+        resp = self.request(msg)
+        if type(resp) is Cells and resp.width == cell_len and len(resp.data) == msg.count * cell_len:
+            return resp.data
+        if type(resp) is not Cells:
+            raise _unexpected(resp, Cells)
+        raise TransportError(
+            f"asked for {msg.count} cells of {cell_len} bytes, got {len(resp.data)} bytes "
+            f"of {resp.width}-byte cells"
+        )
 
     def get_cell(self, j: int, cell_len: int) -> bytes:
         """The ``cell_len`` bytes of cell ``j``."""

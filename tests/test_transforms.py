@@ -1,5 +1,6 @@
 """Legacy layout builders: chain structure, leakage views, persistence."""
 
+import gc
 import io
 import random
 from collections import Counter
@@ -177,6 +178,16 @@ def test_fhope_every_cell_unique_bytes(key):
     fh = build_fhope(key, [4] * 10, 8, coins=CoinSource(1))
     raw = set(fh.cells)
     assert len(raw) == 10  # probabilistic encryption: equal values, distinct cells
+
+
+def test_transform_cells_are_plain_bytes(key):
+    # a bytes subclass would be tracked by the garbage collector and larger per cell
+    det = build_det(key, [3, 1, 3, 7], 8)
+    ope = build_ope(key, [3, 1, 3, 7], 8)
+    fh = build_fhope(key, [3, 1, 3, 7], 8, coins=CoinSource(2))
+    cells = [c for table in (det, ope) for s in table.slots for c in (s.kw_ct, s.id_ct)] + fh.cells
+    assert len(cells) == 20
+    assert all(type(c) is bytes and not gc.is_tracked(c) for c in cells)
 
 
 # ---------------------------------------------------------------------------

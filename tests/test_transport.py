@@ -286,6 +286,33 @@ def test_server_roundtrip_and_errors(tmp_path):
     assert (tmp_path / "s.store").exists()
 
 
+def test_an_over_cap_get_range_is_refused_before_the_store_reads(monkeypatch):
+    n, width = 4, 36
+    store = DenseStore([bytes([i]) * width for i in range(n)], rng=random.Random(7))
+    reads = []
+    real = store.get_range
+
+    def get_range(start, count):
+        reads.append((start, count))
+        return real(start, count)
+
+    monkeypatch.setattr(store, "get_range", get_range)
+    monkeypatch.setattr(transport, "MAX_FRAME", 5 + 2 * width)  # room for 2 cells
+    server = StoreServer(store)
+    for start in range(-1, n + 2):
+        for count in range(-1, n + 3):
+            resp = server.handle(GetRange(start, count))
+            if not (0 <= start < n and 1 <= count <= n):
+                assert type(resp) is ErrorMsg and resp.code == 2, (start, count)  # out_of_range first
+            elif count > 2:
+                size = 5 + count * width
+                assert resp == ErrorMsg(1, f"{count} cells need a {size}-byte frame, over the cap")
+            else:
+                assert type(resp) is Cells and len(resp.data) == count * width
+    # the store read no range that was then refused for its size
+    assert [(start, count) for start, count in reads if 0 <= start < n and 2 < count <= n] == []
+
+
 def test_server_save_without_path():
     server = StoreServer(DenseStore())
     resp = server.handle(Save())
