@@ -1,4 +1,5 @@
-"""Server-side state: cell arrays, the sparse-index decoupled layout, persistence.
+"""Server-side state: cell arrays, the sparse-index decoupled layout, and the
+store-file format.
 
 The server never interprets cell contents.  Cells are opaque byte strings
 handed over by the client, all of one width per store, fixed by the first
@@ -12,18 +13,24 @@ two parallel lists, with midpoint insertion and a background rebalancer).
 A decoupled rebalance pass only counts its hints down; the hint that ends it
 re-spaces and rotates the live entries at once, so reads between hints see
 the pre-pass order and an insert between hints does not restart the pass.
+
+This module owns the file format (docs/formats.md) of all five modes:
+``RECORDS`` gives each mode's record, ``write_file`` and ``load_file`` are the
+one writer and reader, and a layout only turns into record columns and back.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import random
 import secrets
 import stat
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import islice
+from operator import itemgetter
+
+from .cipher import CELL_LEN
 
 MAGIC = b"ESEDS\x00"
 VERSION = 1
@@ -40,8 +47,20 @@ DEFAULT_INDEX_BITS = 256
 _HEADER = struct.Struct("<HBHQ")  # version, mode, domain_bits, count
 _BLOB_LEN = struct.Struct("<I")
 
-#: records joined into one write by ``write_records``
+#: records joined into one write by ``write_records``, and read at once by ``load_file``
 RECORDS_PER_WRITE = 4096
+
+CELL, SPARSE, NEXT = "cell", "sparse", "next"  # the fields of a record
+
+#: each mode's record fields in file order, and the width its cells must have
+#: (0: any one width of at least a byte); docs/formats.md lays each field out
+RECORDS = {
+    MODE_DENSE: ((CELL,), 0),
+    MODE_DECOUPLED: ((SPARSE, CELL), 0),
+    MODE_DET: ((CELL, CELL, NEXT), CELL_LEN),
+    MODE_OPE: ((CELL, CELL, NEXT), CELL_LEN),
+    MODE_FHOPE: ((CELL,), CELL_LEN),
+}
 
 
 class StoreError(Exception):
@@ -65,20 +84,8 @@ class FormatError(StoreError):
 
 
 # ---------------------------------------------------------------------------
-# persistence helpers shared by all modes (legacy transform files reuse them)
+# the store-file codec, shared by all modes
 # ---------------------------------------------------------------------------
-
-
-def read_exact(src: io.BufferedIOBase, n: int) -> bytes:
-    buf = src.read(n)
-    if buf is None or len(buf) != n:
-        raise FormatError("truncated store file")
-    return buf
-
-
-def write_header(sink: io.BufferedIOBase, mode: int, domain_bits: int, count: int) -> None:
-    sink.write(MAGIC)
-    sink.write(_HEADER.pack(VERSION, mode, domain_bits, count))
 
 
 def _index_bits_ok(mode: int, bits: int) -> bool:
@@ -86,24 +93,15 @@ def _index_bits_ok(mode: int, bits: int) -> bool:
     return 8 <= bits <= 1 << 15 and bits % 8 == 0 if mode == MODE_DECOUPLED else bits == 0
 
 
-def read_header(src: io.BufferedIOBase) -> tuple[int, int, int]:
-    """Returns (mode, domain_bits, count); raises FormatError on mismatch."""
-    if read_exact(src, len(MAGIC)) != MAGIC:
-        raise FormatError("bad magic: not a store file")
-    version, mode, domain_bits, count = _HEADER.unpack(read_exact(src, _HEADER.size))
-    if version != VERSION:
-        raise FormatError(f"unsupported store version {version}")
-    if not _index_bits_ok(mode, domain_bits):
-        raise FormatError(f"index width {domain_bits} is not valid in mode {mode}")
-    return mode, domain_bits, count
+def _record(fields: tuple[str, ...], width: int, index_bytes: int) -> tuple[struct.Struct, list[int]]:
+    """The struct of a record of ``fields`` with ``width``-byte cells, which
+    skips the cells' lengths, and the offset of each cell's length."""
+    formats = [{CELL: f"4x{width}s", SPARSE: f"{index_bytes}s", NEXT: "q"}[f] for f in fields]
+    offsets = [struct.calcsize("<" + "".join(formats[:i])) for i, f in enumerate(fields) if f is CELL]
+    return struct.Struct("<" + "".join(formats)), offsets
 
 
-def blob(data: bytes) -> bytes:
-    """``data`` framed as a blob: u32 length, then the bytes."""
-    return _BLOB_LEN.pack(len(data)) + data
-
-
-def write_records(sink: io.BufferedIOBase, records) -> None:
+def write_records(sink, records) -> None:
     """Write already framed records, ``RECORDS_PER_WRITE`` of them joined per
     write, so a save makes few writes and never holds the whole file."""
     records = iter(records)
@@ -111,22 +109,93 @@ def write_records(sink: io.BufferedIOBase, records) -> None:
         sink.write(chunk)
 
 
-def read_blob(src: io.BufferedIOBase) -> bytes:
-    (n,) = _BLOB_LEN.unpack(read_exact(src, 4))
-    return read_exact(src, n)
+def write_file(sink, mode: int, domain_bits: int, columns: list[list]) -> None:
+    """Write the header, then a record per row of ``columns`` (a list per field of the
+    mode's record) to a binary stream as it is, or to a path atomically."""
+    encode = {CELL: lambda cell: _BLOB_LEN.pack(len(cell)) + cell, NEXT: struct.Struct("<q").pack,
+              SPARSE: lambda sparse: sparse.to_bytes(domain_bits // 8, "big")}
+    encoded = [map(encode[field], column) for field, column in zip(RECORDS[mode][0], columns)]
+    with _as_writer(sink) as out:
+        out.write(MAGIC + _HEADER.pack(VERSION, mode, domain_bits, len(columns[0])))
+        write_records(out, map(b"".join, zip(*encoded)))
 
 
-def expect_eof(src: io.BufferedIOBase) -> None:
+def save_layout(layout, sink) -> None:
+    """Write a layout with ``mode``, ``domain_bits`` and ``records()`` to ``sink``."""
+    write_file(sink, layout.mode, layout.domain_bits, layout.records())
+
+
+def _read_exact(src, n: int) -> bytes:
+    buf = src.read(n)
+    if buf is None or len(buf) != n:
+        raise FormatError("truncated store file")
+    return buf
+
+
+def _read_header(src) -> tuple[int, int, int]:
+    """Returns (mode, domain_bits, count); raises FormatError on mismatch."""
+    if _read_exact(src, len(MAGIC)) != MAGIC:
+        raise FormatError("bad magic: not a store file")
+    version, mode, domain_bits, count = _HEADER.unpack(_read_exact(src, _HEADER.size))
+    if version != VERSION:
+        raise FormatError(f"unsupported store version {version}")
+    if not _index_bits_ok(mode, domain_bits):
+        raise FormatError(f"index width {domain_bits} is not valid in mode {mode}")
+    return mode, domain_bits, count
+
+
+def _chunk_error(data: bytes, size: int, offsets: list[int], fixed: int, width: int) -> FormatError:
+    """Why ``data`` is not whole ``size``-byte records of ``width``-byte cells
+    with their lengths at ``offsets``: its first bad cell length, else truncation."""
+    for at in range(0, len(data), size):
+        for off in offsets:
+            if at + off + _BLOB_LEN.size <= len(data):
+                (got,) = _BLOB_LEN.unpack_from(data, at + off)
+                if got != width or not got:
+                    return FormatError(f"cell must be {fixed} bytes, got {got}" if fixed else
+                                       f"cells differ in width or are empty: widths {min(width, got)}..{max(width, got)}")
+    return FormatError("truncated store file")
+
+
+def _read_records(src, mode: int, index_bits: int, count: int) -> list[list]:
+    """The ``count`` records after the header, one list per field, sparse
+    indices as ints.  Cells have the width the mode fixes, else the first
+    cell's.  The first record is read alone, then up to ``RECORDS_PER_WRITE``
+    per read: no read is sized from the count, or from a width unread.  Each
+    record's tuple is dropped once read: kept, they make the GC run full passes."""
+    fields, fixed = RECORDS[mode]
+    columns: list[list] = [[] for _ in fields]
+    if count:
+        first = _record(fields, 0, index_bits // 8)[1][0]
+        pending = _read_exact(src, first + _BLOB_LEN.size)
+        width = fixed or _BLOB_LEN.unpack_from(pending, first)[0]
+        record, offsets = _record(fields, width, index_bits // 8)
+        size, length = record.size, _BLOB_LEN.pack(width)
+        done, per_read = 0, 1
+        while done < count:
+            k = min(count - done, per_read)
+            data = pending + src.read(k * size - len(pending))
+            if len(data) != k * size:
+                raise _chunk_error(data, size, offsets, fixed, width)
+            # every cell length in the chunk is ``width``: byte i of each is one strided slice
+            if not width or any(data[at + i :: size] != length[i : i + 1] * k for at in offsets for i in range(4)):
+                raise _chunk_error(data, size, offsets, fixed, width)
+            for j, (field, column) in enumerate(zip(fields, columns)):
+                values = map(itemgetter(j), record.iter_unpack(data))
+                column.extend([int.from_bytes(b, "big") for b in values] if field is SPARSE else values)
+            done += k
+            pending, per_read = b"", RECORDS_PER_WRITE
     if src.read(1):
         raise FormatError("trailing bytes after store records")
+    return columns
 
 
-def _one_width(cells, error: type[StoreError] = StoreError) -> int:
+def _one_width(cells) -> int:
     """The width every one of ``cells`` has, or 0 when there are none;
-    raises ``error`` if they differ in width or one is empty."""
+    raises StoreError if they differ in width or one is empty."""
     widths = set(map(len, cells))
     if len(widths) > 1 or 0 in widths:
-        raise error(f"cells differ in width or are empty: widths {min(widths)}..{max(widths)}")
+        raise StoreError(f"cells differ in width or are empty: widths {min(widths)}..{max(widths)}")
     return widths.pop() if widths else 0
 
 
@@ -150,24 +219,6 @@ def _width_after(width: int, cell: bytes) -> int:
     if not cell or (width and len(cell) != width):
         raise StoreError(f"a {len(cell)}-byte cell in a store of {width}-byte cells")
     return len(cell)
-
-
-class _as_reader:
-    """Accept either a binary stream or a filesystem path."""
-
-    def __init__(self, source):
-        self._source = source
-        self._owned = None
-
-    def __enter__(self):
-        if hasattr(self._source, "read"):
-            return self._source
-        self._owned = open(self._source, "rb")
-        return self._owned
-
-    def __exit__(self, *exc):
-        if self._owned is not None:
-            self._owned.close()
 
 
 @contextmanager
@@ -251,18 +302,14 @@ class DenseStore:
     def logical_cells(self) -> list[bytes]:
         return self._cells[self._start :] + self._cells[: self._start]
 
-    def save(self, sink) -> None:
-        with _as_writer(sink) as out:
-            cells = self.logical_cells()
-            write_header(out, self.mode, self.domain_bits, len(cells))
-            write_records(out, map(blob, cells))
+    def records(self) -> list[list]:
+        return [self.logical_cells()]  # one column: the cells in logical order
 
     @classmethod
-    def _load_records(cls, src, count: int) -> "DenseStore":
-        store = cls()
-        store._cells = [read_blob(src) for _ in range(count)]
-        expect_eof(src)
-        return store
+    def from_records(cls, domain_bits: int, columns: list[list]) -> "DenseStore":
+        return cls(*columns)
+
+    save = save_layout
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DenseStore):
@@ -399,27 +446,19 @@ class DecoupledStore:
         """Run one complete pass."""
         self.rebalance_step(0)
 
-    def save(self, sink) -> None:
-        with _as_writer(sink) as out:
-            write_header(out, self.mode, self.domain_bits, len(self._cells))
-            width = self.domain_bits // 8
-            records = (s.to_bytes(width, "big") + blob(c) for s, c in zip(self._sparse, self._cells))
-            write_records(out, records)
+    def records(self) -> list[list]:
+        return [self.sparse_indices(), self.logical_cells()]
 
     @classmethod
-    def _load_records(cls, src, domain_bits: int, count: int) -> "DecoupledStore":
+    def from_records(cls, domain_bits: int, columns: list[list]) -> "DecoupledStore":
         store = cls(domain_bits)
-        width = domain_bits // 8
-        prev = -1
-        for _ in range(count):
-            sparse = int.from_bytes(read_exact(src, width), "big")
-            if sparse <= prev:
-                raise FormatError("sparse indices not strictly increasing")
-            prev = sparse
-            store._sparse.append(sparse)
-            store._cells.append(read_blob(src))
-        expect_eof(src)
+        store._sparse, store._cells = columns
+        if not all(map(int.__lt__, store._sparse, store._sparse[1:])):
+            raise FormatError("sparse indices not strictly increasing")
+        store.width = _one_width(store._cells)
         return store
+
+    save = save_layout
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DecoupledStore):
@@ -427,21 +466,18 @@ class DecoupledStore:
         return (self.domain_bits, self._sparse, self._cells) == (other.domain_bits, other._sparse, other._cells)
 
 
+def load_file(source, layouts: dict):
+    """The store in ``source``, a path or binary stream: a cell store, or a
+    layout of ``layouts`` (mode byte -> class); other modes raise ModeError."""
+    with nullcontext(source) if hasattr(source, "read") else open(source, "rb") as src:
+        mode, domain_bits, count = _read_header(src)
+        layout = {MODE_DENSE: DenseStore, MODE_DECOUPLED: DecoupledStore, **layouts}.get(mode)
+        if layout is None:
+            legacy = f"mode {mode} is a legacy transform file, not a cell store"
+            raise ModeError(legacy if mode in RECORDS else f"unknown store mode {mode}")
+        return layout.from_records(domain_bits, _read_records(src, mode, domain_bits, count))
+
+
 def load(source):
-    """Load a dense or decoupled store from a path or binary stream."""
-    with _as_reader(source) as src:
-        return load_records(src, *read_header(src))
-
-
-def load_records(src, mode: int, domain_bits: int, count: int):
-    """The dense or decoupled store whose records follow a header already
-    read from ``src``; the one parser of cell-store records.  Every cell of
-    a store has one width of at least one byte."""
-    if mode == MODE_DENSE:
-        store = DenseStore._load_records(src, count)
-    elif mode == MODE_DECOUPLED:
-        store = DecoupledStore._load_records(src, domain_bits, count)
-    else:
-        raise ModeError(f"mode {mode} is a legacy transform file, not a cell store")
-    store.width = _one_width(store.logical_cells(), FormatError)
-    return store
+    """Load a dense or decoupled store from a path or binary stream; modes 2-4 raise ModeError."""
+    return load_file(source, {})

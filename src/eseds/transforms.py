@@ -7,48 +7,20 @@ order-preserving placement (distinct values at their sorted rank), and
 frequency-hiding order-preserving placement (one cell per occurrence,
 sorted, ties in coin order).  Each build also records the true plaintext
 per position, which stays in memory for scoring and is never serialized.
+
+``store`` owns the file format of these layouts too: each layout here only
+turns itself into record columns (``records()``) and back (``from_records``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cipher import CELL_LEN, SecretKey, decrypt, encrypt, prf
+from .cipher import SecretKey, decrypt, encrypt, prf
 from .core import CoinSource
-from .store import (
-    MODE_DECOUPLED,
-    MODE_DENSE,
-    MODE_DET,
-    MODE_FHOPE,
-    MODE_OPE,
-    FormatError,
-    ModeError,
-    _as_reader,
-    _as_writer,
-    blob,
-    expect_eof,
-    read_blob,
-    read_exact,
-    read_header,
-    write_header,
-    write_records,
-)
-from . import store as store_mod
-
-import struct
-
-_NEXT = struct.Struct("<q")
+from .store import MODE_DECOUPLED, MODE_DENSE, MODE_DET, MODE_FHOPE, MODE_OPE, FormatError, load_file, save_layout
 
 NO_NEXT = -1
-
-
-def _read_cell(src) -> bytes:
-    """One cell blob of a transform file; the file is outside input, so its
-    width is checked here."""
-    cell = read_blob(src)
-    if len(cell) != CELL_LEN:
-        raise FormatError(f"cell must be {CELL_LEN} bytes, got {len(cell)}")
-    return cell
 
 
 @dataclass
@@ -82,9 +54,14 @@ class LeakageView:
 
 
 def _derive_chains(slots: list[ChainSlot]) -> tuple[int, ...]:
-    """Label each position with its chain's head slot, using only pointers."""
+    """Label each position with its chain's head slot, using only pointers.
+    Raises FormatError unless each link is NO_NEXT or a slot, no slot is
+    linked to twice (so no walk loops) and every slot is reached from a head."""
+    links = [s.next for s in slots if s.next != NO_NEXT]
+    pointed_to = set(links)
+    if len(pointed_to) < len(links) or not all(0 <= j < len(slots) for j in links):
+        raise FormatError("chain links out of range or shared")
     labels = [-1] * len(slots)
-    pointed_to = {s.next for s in slots if s.next != NO_NEXT}
     for head in range(len(slots)):
         if head in pointed_to:
             continue
@@ -102,6 +79,7 @@ class _ChainTable:
 
     kind: str
     mode: int
+    domain_bits = 0  # no sparse indices in a transform file
 
     def __init__(self, slots: list[ChainSlot], cell_values: list[int] | None):
         self.slots = slots
@@ -116,22 +94,17 @@ class _ChainTable:
     def leakage_view(self) -> LeakageView:
         return LeakageView(self.kind, len(self.slots), _derive_chains(self.slots))
 
-    def save(self, sink) -> None:
-        with _as_writer(sink) as out:
-            write_header(out, self.mode, 0, len(self.slots))
-            write_records(
-                out, (blob(s.kw_ct) + blob(s.id_ct) + _NEXT.pack(s.next) for s in self.slots)
-            )
+    def records(self) -> list[list]:
+        slots = self.slots  # keyword cells, row-id cells and links, by slot
+        return [[s.kw_ct for s in slots], [s.id_ct for s in slots], [s.next for s in slots]]
 
     @classmethod
-    def _load_records(cls, src, count: int):
-        slots = []
-        for _ in range(count):
-            kw, rid = _read_cell(src), _read_cell(src)
-            (nxt,) = _NEXT.unpack(read_exact(src, _NEXT.size))
-            slots.append(ChainSlot(kw, rid, nxt))
-        expect_eof(src)
+    def from_records(cls, domain_bits: int, columns: list[list]):
+        slots = [ChainSlot(*fields) for fields in zip(*columns)]
+        _derive_chains(slots)  # a file's links must form chains that cover the table
         return cls(slots, None)
+
+    save = save_layout
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -180,6 +153,7 @@ class FhopeEseds:
 
     kind = "fhope"
     mode = MODE_FHOPE
+    domain_bits = 0
 
     def __init__(self, cells: list[bytes], cell_values: list[int] | None):
         self.cells = cells
@@ -194,16 +168,14 @@ class FhopeEseds:
     def leakage_view(self) -> LeakageView:
         return LeakageView(self.kind, len(self.cells))
 
-    def save(self, sink) -> None:
-        with _as_writer(sink) as out:
-            write_header(out, self.mode, 0, len(self.cells))
-            write_records(out, (blob(c) for c in self.cells))
+    def records(self) -> list[list]:
+        return [list(self.cells)]  # one column: the cells in sorted order
 
     @classmethod
-    def _load_records(cls, src, count: int) -> "FhopeEseds":
-        cells = [_read_cell(src) for _ in range(count)]
-        expect_eof(src)
-        return cls(cells, None)
+    def from_records(cls, domain_bits: int, columns: list[list]) -> "FhopeEseds":
+        return cls(*columns, None)
+
+    save = save_layout
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FhopeEseds):
@@ -324,13 +296,4 @@ def leakage_view(target) -> LeakageView:
 
 def load_any(source):
     """Load any store-family file: cell stores and legacy transform tables."""
-    with _as_reader(source) as src:
-        mode, domain_bits, count = read_header(src)
-        if mode in (MODE_DENSE, MODE_DECOUPLED):
-            return store_mod.load_records(src, mode, domain_bits, count)
-        if mode in (MODE_DET, MODE_OPE):
-            cls = DetEseds if mode == MODE_DET else OpeEseds
-            return cls._load_records(src, count)
-        if mode == MODE_FHOPE:
-            return FhopeEseds._load_records(src, count)
-        raise ModeError(f"unknown store mode {mode}")
+    return load_file(source, {MODE_DET: DetEseds, MODE_OPE: OpeEseds, MODE_FHOPE: FhopeEseds})

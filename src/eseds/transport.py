@@ -273,15 +273,23 @@ class StoreServer:
 
     Both the in-process session and the TCP server route through
     handle(), so the two transports cannot diverge behaviorally.
+
+    SAVE holds the store lock only while it takes the store's records; it
+    writes them after releasing it, so other requests are answered during
+    the disk I/O.  ``_save_lock``, taken before the records, keeps SAVEs in
+    order, so the file a later SAVE leaves holds the later state.
     """
 
     def __init__(self, store, *, save_path=None):
         self.store = store
         self.save_path = save_path
         self._lock = threading.Lock()
+        self._save_lock = threading.Lock()
 
     def handle(self, msg: Message) -> Message:
         try:
+            if type(msg) is Save:
+                return self._save()
             with self._lock:
                 return self._dispatch(msg)
         except store_mod.OutOfRange as e:
@@ -315,12 +323,19 @@ class StoreServer:
             if store.mode != store_mod.MODE_DECOUPLED:
                 raise store_mod.ModeError("REBALANCE_HINT requires a decoupled store")
             return Ok(bytes([store.rebalance_step(msg.batch)]))
-        if kind is Save:
-            if self.save_path is None:
-                return ErrorMsg(E_NO_SAVE_PATH, "server has no configured save path")
-            store.save(self.save_path)
-            return Ok()
         return ErrorMsg(E_BAD_REQUEST, f"{type(msg).__name__} is not a request")
+
+    def _save(self) -> Message:
+        """Write the store to ``save_path``; answers after the write, its
+        fsync and the rename are done."""
+        if self.save_path is None:
+            return ErrorMsg(E_NO_SAVE_PATH, "server has no configured save path")
+        with self._save_lock:
+            with self._lock:
+                store = self.store
+                snapshot = store.mode, store.domain_bits, store.records()
+            store_mod.write_file(self.save_path, *snapshot)
+        return Ok()
 
 
 # ---------------------------------------------------------------------------

@@ -553,6 +553,61 @@ def test_saved_file_matches_reference_encoder(tmp_path, key, case):
     assert buf.getvalue() == want
 
 
+_SMALL_STORES = {
+    "dense": lambda key, count: DenseStore(cells(*range(count))),
+    "decoupled": lambda key, count: _spaced_store(count),
+    "det": lambda key, count: build_det(key, [2, 1, 2][:count], 4),
+    "ope": lambda key, count: build_ope(key, [2, 1, 2][:count], 4),
+    "fhope": lambda key, count: build_fhope(key, [2, 1, 2][:count], 4, coins=CoinSource(1)),
+}
+
+
+def _saved(target) -> bytes:
+    buf = io.BytesIO()
+    target.save(buf)
+    return buf.getvalue()
+
+
+def _loaders(target):
+    return (load, load_any) if target.mode in (MODE_DENSE, MODE_DECOUPLED) else (load_any,)
+
+
+@pytest.mark.parametrize("kind", _SMALL_STORES)
+def test_every_prefix_and_an_extra_byte_are_format_errors(key, kind):
+    target = _SMALL_STORES[kind](key, 3)
+    raw = _saved(target)
+    for loader in _loaders(target):
+        assert loader(io.BytesIO(raw)) == target
+        for end in range(len(raw)):
+            with pytest.raises(FormatError):
+                loader(io.BytesIO(raw[:end]))
+        with pytest.raises(FormatError, match="trailing"):
+            loader(io.BytesIO(raw + b"\x00"))
+
+
+class _CountingReads(io.BytesIO):
+    def __init__(self, raw):
+        super().__init__(raw)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+@pytest.mark.parametrize("kind", _SMALL_STORES)
+def test_a_count_of_2_63_over_one_record_fails_at_once(key, kind):
+    target = _SMALL_STORES[kind](key, 1)
+    raw = bytearray(_saved(target))
+    raw[11:19] = (1 << 63).to_bytes(8, "little")  # the header's record count
+    for loader in _loaders(target):
+        src = _CountingReads(bytes(raw))
+        with pytest.raises(FormatError, match="truncated"):
+            loader(src)
+        # a few reads, none sized from the count
+        assert len(src.sizes) < 16 and max(src.sizes) <= RECORDS_PER_WRITE * len(raw)
+
+
 def test_failed_save_leaves_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "d.store"
     old = DenseStore(cells(1, 2, 3))

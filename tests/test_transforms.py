@@ -3,6 +3,7 @@
 import gc
 import io
 import random
+import threading
 from collections import Counter
 
 import pytest
@@ -259,6 +260,31 @@ def test_load_any_rejects_transform_cells_of_another_width(key, width):
         with pytest.raises(FormatError, match=f"got {width}"):
             load_any(io.BytesIO(raw))
     assert load_any(io.BytesIO(reference_store_file(MODE_FHOPE, [good, good]))).cells == [good, good]
+
+
+@pytest.mark.parametrize(
+    "links",
+    [[5, NO_NEXT], [1, 1], [1, 0], [2, 2, NO_NEXT]],
+    ids=["out-of-range", "self-loop", "two-slot-cycle", "shared-target"],
+)
+@pytest.mark.parametrize("mode", [MODE_DET, MODE_OPE], ids=["det", "ope"])
+def test_load_any_rejects_broken_chain_links(key, mode, links):
+    cell = encrypt(key, 1, 16)
+    raw = reference_store_file(mode, [(cell, cell, nxt) for nxt in links])
+    outcome = []
+
+    def load():
+        try:
+            outcome.append(load_any(io.BytesIO(raw)))
+        except FormatError as e:
+            outcome.append(e)
+
+    # a loader that followed a cyclic chain would never return
+    thread = threading.Thread(target=load, daemon=True)
+    thread.start()
+    thread.join(10)
+    assert not thread.is_alive()
+    assert isinstance(outcome[0], FormatError), outcome
 
 
 def test_cell_store_loader_rejects_transform_files(tmp_path, key):

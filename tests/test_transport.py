@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eseds import store as store_mod
 from eseds import transport
 from eseds.cipher import decrypt
 from eseds.core import CoinSource, Domain, RangeQuery, insert, search_range
-from eseds.store import DecoupledStore, DenseStore
+from eseds.store import DecoupledStore, DenseStore, load as load_store
 from eseds.transport import (
     MAX_FRAME,
     Cells,
@@ -317,6 +318,73 @@ def test_server_save_without_path():
     server = StoreServer(DenseStore())
     resp = server.handle(Save())
     assert isinstance(resp, ErrorMsg) and resp.code == 5
+
+
+def _hold_first_write(monkeypatch):
+    """Patch the store writer so the first write waits until the returned
+    ``release`` is set; ``writing`` is set once it waits."""
+    writing, release = threading.Event(), threading.Event()
+    write_records = store_mod.write_records
+    calls = []
+
+    def held(sink, records):
+        calls.append(sink)
+        if len(calls) == 1:
+            writing.set()
+            release.wait(10)
+        write_records(sink, records)
+
+    monkeypatch.setattr(store_mod, "write_records", held)
+    return writing, release
+
+
+def _in_thread(call, replies):
+    thread = threading.Thread(target=lambda: replies.append(call()), daemon=True)
+    thread.start()
+    return thread
+
+
+def test_save_answers_other_requests_while_it_writes(tmp_path, monkeypatch):
+    path = tmp_path / "s.store"
+    store = DenseStore([b"abc", b"def", b"ghi"], rng=random.Random(1))
+    server = StoreServer(store, save_path=str(path))
+    writing, release = _hold_first_write(monkeypatch)
+    saved, answers = [], []
+    saver = _in_thread(lambda: server.handle(Save()), saved)
+    try:
+        assert writing.wait(10)
+        reader = _in_thread(lambda: (server.handle(GetRange(1, 2)), server.handle(Length())), answers)
+        reader.join(10)
+        assert not reader.is_alive()  # the store lock is free while the file is written
+        assert answers == [(Cells(3, b"defghi"), Len(3))]
+        assert saved == []  # SAVE answers only once its file is written
+    finally:
+        release.set()
+        saver.join(10)
+    assert not saver.is_alive() and saved == [Ok()]
+    assert load_store(path) == store
+
+
+def test_overlapping_saves_leave_the_later_state(tmp_path, monkeypatch):
+    path = tmp_path / "s.store"
+    store = DenseStore([b"abc"], rng=random.Random(1))
+    server = StoreServer(store, save_path=str(path))
+    writing, release = _hold_first_write(monkeypatch)
+    first, inserted, second = [], [], []
+    savers = [_in_thread(lambda: server.handle(Save()), first)]
+    try:
+        assert writing.wait(10)
+        inserter = _in_thread(lambda: server.handle(InsertAt(1, b"def")), inserted)
+        inserter.join(10)
+        assert inserted == [Ok()]
+        savers.append(_in_thread(lambda: server.handle(Save()), second))
+        savers[1].join(0.2)  # time for the later SAVE to finish first, were it not kept in order
+    finally:
+        release.set()
+        for saver in savers:
+            saver.join(10)
+    assert first == second == [Ok()]
+    assert load_store(path) == store and len(store) == 2
 
 
 def test_server_rebalance_hint_done_flag():
