@@ -15,12 +15,11 @@ the run of r-cells wraps past the end of the array (C[n-1] = r).  Then
 A = r + 1, so that r sorts last, and s is the first index that does not
 hold r: 1 when C[1] != r, otherwise (a deep wrap) the client reads the
 store in ranged runs of READ_RUN cells, keeps them as one block and finds
-s with O(log n) local decrypts.  Search bisects g over indices s..n-1;
-top-k and an insert that meets a wrapped run start from the rotation the
+s with O(log n) local decrypts.  Search bisects g over reading positions,
+insert bisects them for its slot, and top-k starts from the rotation the
 frame gives.  Search and insert are O(log n) probes except on a deep wrap:
-a deep-wrap search still filters every cell with one-cell reads, and an
-insert that meets one reads the whole store in ranges.  On distinct values
-no run wraps.
+a deep-wrap search still filters every cell with one-cell reads, and every
+insert reads the whole store in ranges.  On distinct values no run wraps.
 """
 
 from __future__ import annotations
@@ -224,6 +223,13 @@ def _frame(view: _OpView, n: int, N: int) -> tuple[int, int]:
     return s, (r + 1) % N
 
 
+def _reading(view: _OpView, n: int, N: int, s: int, A: int):
+    """g at reading position p of the frame (s, A): position p < n-s is
+    index s+p; the s positions after those hold r, where g = N-1, so they
+    need no probe."""
+    return lambda p: (view.value(s + p) - A) % N if p < n - s else N - 1
+
+
 def _rotation(view: _OpView, n: int, dom: Domain) -> int:
     """Index of the first cell in sorted reading order: the first value
     below A read from s, or s itself when there is none."""
@@ -243,16 +249,12 @@ def _rotation(view: _OpView, n: int, dom: Domain) -> int:
 def insert(key: SecretKey, session, m: int, dom: Domain, coins: CoinSource | None = None) -> int:
     """Run the interactive insert protocol; returns the new store size.
 
-    The slot is found by binary search over the n+1 possible positions in
-    the frame of r = Dec(C[0]), flipping a coin whenever the probed cell
-    equals m so ties are broken at every level.  A probe at index >= 1 that
-    decrypts to r while C[n-1] also holds r means the boundary run wraps
-    and the frame order is not trustworthy; the protocol then finds the
-    rotation start w, bisects the sorted positions for m's run and picks
-    uniformly among the order-preserving slots.  The one INSERT_AT request
-    names the slot; how the store lays the cell out (a dense array
-    re-rotated by the server, or a sparse index between its neighbours) is
-    the server's business.
+    The slot is found by binary search over the n+1 reading positions of
+    _frame's (s, A), flipping a coin whenever the probed cell equals m so
+    ties are broken at every level.  Reading position p is slot s+p, or
+    s+p-n past the end.  The one INSERT_AT request names the slot; how the
+    store lays the cell out (a dense array re-rotated by the server, or a
+    sparse index between its neighbours) is the server's business.
     """
     _check_plaintext(m, dom, "plaintext")
     if coins is None:
@@ -264,29 +266,17 @@ def insert(key: SecretKey, session, m: int, dom: Domain, coins: CoinSource | Non
         return 1
     view = _OpView(key, session, dom)
     N = dom.size
-    r = view.value(0)
-    fm = (m - r) % N
+    s, A = _frame(view, n, N)
+    g, gm = _reading(view, n, N, s, A), (m - A) % N
     lo, hi = 0, n
     while lo < hi:
         mid = (lo + hi) // 2
-        v = view.value(mid)
-        if mid >= 1 and v == r and view.value(n - 1) == r:
-            w = _rotation(view, n, dom)
-            at = lambda p: view.value((w + p) % n)
-            left, right = _first_at_least(at, 0, n, m), _first_greater(at, 0, n, m)
-            slots = sorted({(w + t) % n for t in range(left, right + 1)})
-            lo = slots[coins.randrange(len(slots))]
-            break
-        if v == m:
-            if coins.bit():
-                lo = mid + 1
-            else:
-                hi = mid
-        elif (v - r) % N < fm:
+        v = g(mid)
+        if v < gm or (v == gm and coins.bit()):
             lo = mid + 1
         else:
             hi = mid
-    session.insert_at(lo, cell)
+    session.insert_at(s + lo if s + lo <= n else s + lo - n, cell)
     return n + 1
 
 
@@ -316,9 +306,9 @@ def _segments(view, n, N, s, A, a, b):
     """Bisect g over indices s..n-1 (cells 0..s-1 hold r, the maximum), take
     the one cyclic run of matches in reading order, split it at index n-1."""
     ga, gb = (a - A) % N, (b - A) % N
-    # reading position p < n-s is index s+p; the s positions after those
-    # hold r, where g = N-1, so they match exactly when gb = N-1
-    g = lambda p: (view.value(s + p) - A) % N
+    # the s positions after n-s hold r, where g = N-1, so they match
+    # exactly when gb = N-1
+    g = _reading(view, n, N, s, A)
     first = _first_at_least(g, 0, n - s, ga)
     last = n - 1 if gb == N - 1 else _first_greater(g, 0, n - s, gb) - 1
     if ga <= gb:

@@ -128,27 +128,32 @@ def _recover_slot(pre_cells, post_store):
 
 
 def test_insert_tie_break_spread_matches_coin_analysis(key):
-    # inserting 5 into [1,5,5,9] can land in slots 1, 2, or 3; the slot
-    # bisection resolves ties by coin, giving exactly (1/4, 1/4, 1/2)
-    counts = {1: 0, 2: 0, 3: 0}
-    trials = 6000
-    rng = random.Random(21)
-    for _ in range(trials):
-        store = direct_store(key, [1, 5, 5, 9], D16)
-        pre = [store.get_cell(j) for j in range(4)]
-        insert(key, LocalSession(store), 5, D16, coins=CoinSource(rng.getrandbits(64)))
-        counts[_recover_slot(pre, store)] += 1
-    assert set(counts) == {1, 2, 3}
+    # the slot bisection resolves ties by coin.  Inserting 5 into [1,5,5,9]
+    # lands in slots 1, 2, 3 with (1/4, 1/4, 1/2).  In [1,2,1] the run of
+    # 1s wraps: the frame reads 2,1,1 from index 1, so inserting 1 lands at
+    # reading positions 1, 2, 3, which are slots 2, 3 (the same cyclic
+    # place as 0) and 1, with (1/2, 1/4, 1/4)
     from scipy import stats
 
-    expected = [trials / 4, trials / 4, trials / 2]
-    p = float(stats.chisquare([counts[1], counts[2], counts[3]], expected).pvalue)
-    assert p > 0.001, (counts, p)
+    trials = 6000
+    rng = random.Random(21)
+    for values, m, spread in (([1, 5, 5, 9], 5, {1: 1 / 4, 2: 1 / 4, 3: 1 / 2}),
+                              ([1, 2, 1], 1, {0: 1 / 4, 1: 1 / 4, 2: 1 / 2})):
+        counts = dict.fromkeys(spread, 0)
+        for _ in range(trials):
+            store = direct_store(key, values, D16)
+            pre = [store.get_cell(j) for j in range(len(values))]
+            insert(key, LocalSession(store), m, D16, coins=CoinSource(rng.getrandbits(64)))
+            counts[_recover_slot(pre, store)] += 1
+        assert set(counts) == set(spread), (values, counts)
+        expected = [trials * spread[slot] for slot in spread]
+        p = float(stats.chisquare([counts[slot] for slot in spread], expected).pvalue)
+        assert p > 0.001, (values, counts, p)
 
 
-def test_insert_scan_fallback_on_deep_wrap(key):
-    # reading order [3,3,5,1,3] duplicates the frame value past index 1, so
-    # the bisection hits it mid-probe and falls back to the scan placement
+def test_insert_on_deep_wrap_keeps_the_order(key):
+    # in [3,3,5,1,3] the run of 3s wraps with two cells at the front, so
+    # the frame reads the store and the bisection starts at index 2
     session = direct_session(key, [3, 3, 5, 1, 3], D8)
     assert insert(key, session, 2, D8, coins=CoinSource(1)) == 6
     got = decrypt_all(key, session.store)
@@ -400,11 +405,14 @@ def test_find_rotation_and_top_k_match_oracle_on_every_rotation(key):
                     assert set(got) == brute_match_indices(values, a, b, N), (values, a, b)
             recorder = _SlotRecorder(session.store)
             for m in {r, x}:
-                # every slot insert can pick keeps the order; ties need not
-                # reach every such slot (an all-equal store takes a new value
-                # at slot 0, a tie met before the wrap stays in the front run)
                 got = {l % n for l in _reachable_slots(key, recorder, m, dom)}
-                assert got and got <= order_preserving_slots(values, m), (values, m)
+                if m != r and len(set(values)) == 1:
+                    # the frame sorts r last, so a new value goes before
+                    # the whole run, at slot 0, though every slot keeps
+                    # the order
+                    assert got and got <= order_preserving_slots(values, m), (values, m)
+                else:
+                    assert got == order_preserving_slots(values, m), (values, m)
 
 
 def _deep_wrapped_zipf(key):
@@ -432,23 +440,36 @@ def test_deep_wrapped_top_k_reads_every_cell_in_ranged_runs(key):
 
 
 def test_deep_wrapped_insert_reads_the_store_in_ranged_runs(key):
-    # inserting 1 bisects into the leading run of 0s, meets r = 0 at an
-    # index >= 1 and takes the fallback: the probes so far, C[n-1] and
-    # C[1], the store in ranged runs, then only local decrypts
+    # the frame sends LENGTH, C[0], C[n-1] and C[1], then reads the store
+    # in ranged runs; the bisection decrypts locally, and INSERT_AT is last
     dom, ordered, _, session, log = _deep_wrapped_zipf(key)
     n = len(ordered)
     assert insert(key, session, 1, dom, coins=CoinSource(3)) == n + 1
     sent = _requests(log)
     assert GetRange(0, core.READ_RUN) in sent
-    assert len(sent) <= 4 + math.ceil(math.log2(n)) + -(-n // core.READ_RUN) + 2  # 23
+    assert len(sent) == 5 + -(-n // core.READ_RUN)  # 8
     got = decrypt_all(key, session.store)
     assert sorted(got) == sorted(ordered + [1])
     assert sum(x > y for x, y in zip(got, got[1:] + got[:1])) == 1  # a rotation of sorted
 
 
+def test_deep_wrapped_insert_requests_do_not_depend_on_the_value(key):
+    # the frame reads the whole store before the bisection starts, so r,
+    # r + 1, r - 1 and a far value send the same requests before INSERT_AT
+    dom, ordered, _, session, log = _deep_wrapped_zipf(key)
+    recorder = _SlotRecorder(session.store, wire_log=log)
+    sent = []
+    for m in (0, 1, 63, 40):
+        del log[:]
+        insert(key, recorder, m, dom, coins=CoinSource(m))
+        sent.append([frame for direction, frame in log if direction == "send"])
+    assert len(sent[0]) == 4 + -(-len(ordered) // core.READ_RUN)
+    assert all(frames == sent[0] for frames in sent[1:])
+
+
 def test_insert_bisects_on_when_the_leading_run_does_not_wrap(key):
-    # the probe at index 1 meets r = 3, but C[n-1] = 66 != r: the plain
-    # frame is sorted and the bisection goes on instead of reading the store
+    # C[0] = C[1] = 3, but C[n-1] = 66 != r: the plain frame is sorted, and
+    # the bisection meets r at index 1 without reading the store
     dom = Domain(128)
     values = [3, 3] + list(range(5, 67))
     log = []
@@ -494,7 +515,7 @@ def test_probe_indices_on_distinct_values_follow_a_reference_bisection(key):
         assert probes() == list(dict.fromkeys([0, n - 1] + bisection_probes(f, (N - r) % N)))
         m = rng.choice(sorted(set(range(N)) - set(values)))  # no ties, so no coins
         insert(key, session, m, dom, coins=CoinSource(0))
-        assert probes() == list(dict.fromkeys([0] + bisection_probes(f, (m - r) % N)))
+        assert probes() == list(dict.fromkeys([0, n - 1] + bisection_probes(f, (m - r) % N)))
 
 
 def test_deep_wrap_rejects_a_short_range_read(key):
