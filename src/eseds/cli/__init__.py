@@ -176,6 +176,8 @@ def _csv_ints(raw: str) -> list[int]:
 
 
 def cmd_init(args) -> int:
+    if not 1 <= args.domain_bits <= 64:  # the widths read_keyfile accepts
+        raise UserError(f"--domain-bits must be in [1, 64], got {args.domain_bits}")
     if os.path.exists(args.store):
         raise UserError(f"refusing to overwrite existing store {args.store}")
     key_path = args.key or default_key_path(args.store)
@@ -187,7 +189,11 @@ def cmd_init(args) -> int:
         store = DecoupledStore(index_bits=args.index_bits)
     key = keygen()
     write_keyfile(key_path, key, args.domain_bits)
-    store.save(args.store)
+    try:
+        store.save(args.store)
+    except BaseException:
+        os.remove(key_path)  # a keyfile without its store would block a retry
+        raise
     print(f"initialized {args.mode} store {args.store} length 0 keyfile {key_path}")
     return 0
 

@@ -325,11 +325,14 @@ class DenseStore:
 class DecoupledStore:
     """Sparse indices and cells in two parallel lists; rank = list position.
 
-    Inserts go to the midpoint of the two neighboring sparse indices and so
-    return immediately; a gap of <= 1 leaves no free midpoint and triggers a
-    synchronous local rebalance of the smallest enclosing region with enough
-    slack.  A background full pass re-spaces all entries equidistantly and
-    applies a fresh rotation.
+    An insert takes the midpoint of the two neighboring sparse indices and
+    moves no other entry.  A gap of <= 1 leaves no free midpoint: then the
+    insert first re-spaces the whole store, O(n), with the rule a completed
+    rebalance pass uses.  That leaves every gap at least
+    2**(bits - ceil(log2(n+1))), so the next re-spacing takes at least
+    bits - ceil(log2(n+1)) - 1 inserts into one gap.  A snapshot taken after
+    one shows equal gaps, not where the inserts went.  A background full pass
+    re-spaces the same way and also applies a fresh rotation.
     """
 
     mode = MODE_DECOUPLED
@@ -343,7 +346,7 @@ class DecoupledStore:
         self._cells: list[bytes] = []
         self._rng = rng if rng is not None else random.SystemRandom()
         self._pass_left: int | None = None  # entries the pass in progress has yet to cover
-        self.collisions = 0  # forced local rebalances observed (test visibility)
+        self.collisions = 0  # inserts that found a full gap; read by tests and the benchmark
 
     @property
     def index_space(self) -> int:
@@ -377,8 +380,8 @@ class DecoupledStore:
 
     def insert_at(self, l: int, cell: bytes) -> None:
         """Store the cell at rank l (0 <= l <= n), at the midpoint sparse
-        index between ranks l-1 and l.  A gap of <= 1 is recovered by a
-        synchronous local rebalance and a single retry."""
+        index between ranks l-1 and l.  A gap of <= 1 re-spaces the whole
+        store first, without rotating it or touching a pass in progress."""
         width = _width_after(self.width, cell)
         n = len(self._cells)
         if not 0 <= l <= n:
@@ -386,32 +389,21 @@ class DecoupledStore:
         lo, hi = self._gap(l)
         if hi - lo <= 1:
             self.collisions += 1
-            self._local_rebalance(l)
+            self._respace(2)  # so that every gap has a free midpoint
             lo, hi = self._gap(l)
-            if hi - lo <= 1:
-                raise StoreFull("sparse index space exhausted")
         self._sparse.insert(l, (hi - lo) // 2 + lo)
         self._cells.insert(l, bytes(cell))
         self.width = width
 
-    def _local_rebalance(self, l: int) -> None:
-        """Re-space the smallest window of ranks around slot l so every gap
-        inside it is >= 2, growing the window until there is slack."""
-        sparse = self._sparse
-        n = len(sparse)
-        wl, wr = max(0, l - 1), min(l, n - 1)
-        while True:
-            lo = 0 if wl == 0 else sparse[wl - 1]
-            hi = self.index_space if wr == n - 1 else sparse[wr + 1]
-            count = wr - wl + 1
-            step = (hi - lo) // (count + 1)
-            if step >= 2:
-                break
-            if wl == 0 and wr == n - 1:
-                raise StoreFull("sparse index space exhausted")
-            wl = max(0, wl - 1)
-            wr = min(n - 1, wr + 1)
-        sparse[wl : wr + 1] = range(lo + step, lo + (count + 1) * step, step)
+    def _respace(self, least: int) -> None:
+        """Give rank p sparse index (p+1) * floor(space/(n+1)), so every gap
+        is exactly that step and the division remainder sits above the top
+        entry; a step below ``least`` raises StoreFull and changes nothing."""
+        n = len(self._sparse)
+        step = self.index_space // (n + 1)
+        if step < least:
+            raise StoreFull("too many cells for the sparse index space")
+        self._sparse = list(range(step, (n + 1) * step, step))
 
     # -- background rebalancer ------------------------------------------------
 
@@ -420,10 +412,8 @@ class DecoupledStore:
         finishes it); True when this step completed the pass.
 
         A pass covers the n entries the store holds at its first step.  The
-        step that completes it does the whole O(n) re-spacing: one rotation
-        draw, then post-rotation rank p of the live cells gets sparse index
-        (p+1) * floor(space/(n+1)) for the n of that moment, so every gap is
-        exactly the step and the division remainder sits above the top entry.
+        step that completes it does the whole O(n) work: ``_respace`` of the
+        live entries, then one rotation draw that rotates the cells.
         Until then no entry moves, so reads between steps see the pre-pass
         order, and an insert between steps neither restarts nor extends the
         pass: the result depends only on the live cells and the rotation.
@@ -433,13 +423,10 @@ class DecoupledStore:
             self._pass_left = left - batch
             return False
         self._pass_left = None
+        self._respace(1)
         n = len(self._cells)
-        step = self.index_space // (n + 1)
-        if step < 1:
-            raise StoreFull("too many cells for the sparse index space")
         rotation = self._rng.randrange(n) if n else 0
         self._cells = self._cells[rotation:] + self._cells[:rotation]
-        self._sparse = list(range(step, (n + 1) * step, step))
         return True
 
     def rebalance(self) -> None:

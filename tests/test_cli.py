@@ -67,6 +67,24 @@ def test_init_refuses_to_overwrite(capsys, store):
     assert "refusing" in err
 
 
+@pytest.mark.parametrize("bits", ["0", "65", "100", "70000"])
+def test_init_refuses_a_domain_width_no_command_reads(capsys, tmp_path, bits):
+    # every other command refuses a keyfile whose domain is outside [1, 64]
+    code, _, err = run(capsys, "init", "--store", str(tmp_path / "s.db"), "--domain-bits", bits)
+    assert code == 1
+    assert err.startswith("error: usage:") and "--domain-bits" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_init_removes_its_keyfile_when_the_store_cannot_be_saved(capsys, tmp_path):
+    key = str(tmp_path / "k.key")
+    code, _, _ = run(capsys, "init", "--store", str(tmp_path / "nodir" / "s.db"), "--key", key)
+    assert code == 1
+    assert os.listdir(tmp_path) == []
+    (tmp_path / "nodir").mkdir()
+    init(capsys, str(tmp_path / "nodir" / "s.db"), "--key", key)  # so a retry succeeds
+
+
 def test_insert_query_topk(capsys, store):
     init(capsys, store)
     code, out, _ = run(capsys, "insert", "--store", store, "--seed", "3", "1,3,3,7")

@@ -3,7 +3,7 @@
 StoreModel runs the client protocols over LocalSession against a sorted
 plaintext model.  Small domains (2 to 16 values) make duplicate runs that
 wrap past the end of the cell array, and an 8-bit decoupled index space
-makes midpoint collisions and local rebalances common.
+makes full gaps, and so whole-store re-spacings, common.
 
 ServerModel sends valid and invalid requests straight to StoreServer.handle
 and keeps the logical cell list a request should leave behind.

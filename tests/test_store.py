@@ -156,7 +156,7 @@ def test_decoupled_rank_order_lookup():
 
 def test_decoupled_insert_at_every_slot_splices_in_rank_order():
     # appending in an 8-bit space halves the top gap each time, so the larger
-    # stores also take the local-rebalance path at some slots
+    # stores also find a full gap and re-space the whole store at some slots
     collisions = 0
     for n in range(12):
         for l in range(n + 1):
@@ -184,7 +184,7 @@ def test_insert_at_rejects_slots_outside_the_store(layout):
     assert st.logical_cells() == before
 
 
-def test_decoupled_collision_triggers_local_rebalance():
+def test_decoupled_collision_respaces_the_store():
     st = DecoupledStore(index_bits=16)
     st.insert_at(0, b"A")
     st.insert_at(1, b"B")
@@ -192,8 +192,36 @@ def test_decoupled_collision_triggers_local_rebalance():
     st.insert_at(1, b"C")
     assert st.collisions == 1
     assert [st.get_cell(j) for j in range(3)] == [b"A", b"C", b"B"]
-    lo, mid, hi = st.sparse_indices()
-    assert lo < mid < hi  # re-spaced with room
+    # both entries re-spaced a step of 2**16 // 3 apart, then C at the midpoint
+    assert st.sparse_indices() == [21845, 32767, 43690]
+
+
+def _slot_patterns():
+    rng = random.Random(1)
+    return {
+        "ascending": lambda n: n,
+        "descending": lambda n: 0,
+        "hot-spot": lambda n: n // 2,
+        "random": lambda n: rng.randrange(n + 1),
+    }
+
+
+@pytest.mark.parametrize("bits, count", [(256, 4000), (16, 4000)])
+@pytest.mark.parametrize("pattern", list(_slot_patterns()))
+def test_decoupled_collisions_bounded_per_gap(bits, count, pattern):
+    # a re-spacing leaves every gap at least 2**(bits - ceil(log2(count+1))),
+    # so the next takes at least `room` inserts into one gap
+    room = bits - count.bit_length() - 1  # count.bit_length() == ceil(log2(count+1))
+    assert room >= 2
+    slot = _slot_patterns()[pattern]
+    st = DecoupledStore(index_bits=bits)
+    for n in range(count):
+        st.insert_at(slot(n), n.to_bytes(2, "big"))
+    assert st.collisions <= -(-count // room), st.collisions
+    if pattern == "random" and bits == 256:
+        assert st.collisions == 0
+    idx = st.sparse_indices()
+    assert all(a < b for a, b in zip(idx, idx[1:]))
 
 
 def test_decoupled_store_full():
@@ -203,6 +231,23 @@ def test_decoupled_store_full():
     with pytest.raises(StoreFull):
         for i in range(120, 300):
             st.insert_at(0, bytes([i]))
+
+
+def test_decoupled_store_full_leaves_the_store_as_it_was():
+    # 128 entries in an 8-bit space cannot be re-spaced 2 apart
+    # (floor(256 / 129) == 1), so every full gap refuses the insert: slot 127
+    # too, although the gap above rank 127 is wide
+    st = DecoupledStore(index_bits=8)
+    st._sparse = list(range(1, 129))
+    st._cells = [bytes([i]) for i in range(128)]
+    st.width = 1
+    st.rebalance_step(64)  # a pass in progress stays where it was
+    before = (st.sparse_indices(), st.logical_cells(), st.width, st._pass_left)
+    for l in (0, 64, 127):  # full gaps
+        with pytest.raises(StoreFull):
+            st.insert_at(l, b"X")
+    assert (st.sparse_indices(), st.logical_cells(), st.width, st._pass_left) == before
+    assert st.collisions == 3  # only the count sees the attempts
 
 
 def test_decoupled_index_bits_validation():
