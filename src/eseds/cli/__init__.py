@@ -34,6 +34,7 @@ from ..core import (
 )
 from ..attacks import AttackError
 from ..store import DecoupledStore, DenseStore, StoreError
+from ..transforms import TARGETS
 from ..transport import (
     DEFAULT_PORT,
     LocalSession,
@@ -43,10 +44,8 @@ from ..transport import (
     serve,
 )
 from .attack import ATTACKS, DISTRIBUTIONS, run_attack
-from .attack import TARGETS as ATTACK_TARGETS
 from .bench import BenchConfig, run_bench
 from .game import ADVERSARIES, GameConfig, GameError, run_game
-from .game import TARGETS as GAME_TARGETS
 
 KEY_MAGIC = b"ESEDSKEY"
 _KEY_HEADER = struct.Struct("<HHH")  # version, security_bits, plaintext domain_bits
@@ -364,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=10)
 
     p = command("attack", cmd_attack, "build a target and attack it", "--seed", "--out")
-    p.add_argument("--target", choices=ATTACK_TARGETS, required=True)
+    p.add_argument("--target", choices=TARGETS, required=True)
     p.add_argument("--attack", choices=ATTACKS, required=True)
     p.add_argument("--n", type=int, default=256, help="multiset size")
     p.add_argument("--domain-size", type=int, default=64, help="plaintext domain size N")
@@ -373,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("game", cmd_game, "empirical distinguishing experiment", "--seed")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--adversary", choices=sorted(ADVERSARIES), required=True)
-    p.add_argument("--target", choices=GAME_TARGETS, required=True)
+    p.add_argument("--target", choices=TARGETS, required=True)
 
     return parser
 

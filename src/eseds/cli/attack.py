@@ -22,13 +22,11 @@ from ..attacks import (
     score,
     sorting_attack,
 )
-from ..cipher import SecretKey, decrypt
-from ..core import CoinSource, Domain
-from ..transforms import build_det, build_fhope, build_ope, leakage_view
-from .bench import bulk_store
+from ..cipher import SecretKey
+from ..core import Domain
+from ..transforms import TARGETS, build_target, leakage_view
 
 ATTACKS = ("frequency", "lp", "sorting", "cumulative", "bucketing")
-TARGETS = ("main_eseds", "fhope", "ope", "det")
 DISTRIBUTIONS = ("uniform", "zipf", "dense")
 
 
@@ -69,21 +67,6 @@ def draw_multiset(n: int, domain_size: int, distribution: str, rng: random.Rando
     raise AttackError(f"unknown distribution {distribution!r}")
 
 
-def _build(target: str, key: SecretKey, multiset: list[int], dom: Domain, rng: random.Random):
-    """Build the structure and return it with its per-position truth."""
-    if target == "main_eseds":
-        store = bulk_store(key, multiset, dom, rng)
-        truth = [decrypt(key, cell) for cell in store.logical_cells()]
-        return store, truth
-    if target == "det":
-        obj = build_det(key, multiset, dom.size)
-    elif target == "ope":
-        obj = build_ope(key, multiset, dom.size)
-    else:
-        obj = build_fhope(key, multiset, dom.size, coins=CoinSource(rng.getrandbits(64)))
-    return obj, list(obj.cell_values)
-
-
 def run_attack(
     target: str, attack: str, n: int, domain_size: int, distribution: str, seed: int | None
 ) -> AttackReport:
@@ -91,10 +74,13 @@ def run_attack(
         raise AttackError(f"unknown target {target!r}")
     if attack not in ATTACKS:
         raise AttackError(f"unknown attack {attack!r}")
+    for option, size in (("--n", n), ("--domain-size", domain_size)):
+        if size < 1:
+            raise AttackError(f"{option} must be at least 1, got {size}")
     rng = random.Random(seed)
     multiset = draw_multiset(n, domain_size, distribution, rng)
     key = SecretKey(rng.randbytes(32))
-    structure, truth = _build(target, key, multiset, Domain(domain_size), rng)
+    structure, truth = build_target(target, key, multiset, Domain(domain_size), rng)
     view = leakage_view(structure)
     labels = view.class_labels()
     baseline = max(multiset.count(v) for v in set(multiset)) / n

@@ -18,9 +18,9 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from ..cipher import SecretKey, encrypt, keygen
+from ..cipher import keygen
 from ..core import Domain, RangeQuery, read_values, search_range, top_k
-from ..store import DenseStore
+from ..transforms import bulk_store
 from ..transport import LocalSession
 
 
@@ -73,14 +73,6 @@ class BenchReport:
                 out.writerow([r.kind, r.n, r.param, r.mean_ms, r.ci95_ms, r.round_trips, r.baseline_ms])
 
 
-def bulk_store(key: SecretKey, values: list[int], dom: Domain, rng: random.Random) -> DenseStore:
-    """Encrypted store holding the values in rotated sorted order."""
-    ordered = sorted(values)
-    cells = [encrypt(key, v, dom.size) for v in ordered]
-    rot = rng.randrange(len(cells)) if cells else 0
-    return DenseStore(cells[rot:] + cells[:rot])
-
-
 def _mean_ci(samples: list[float]) -> tuple[float, float]:
     from scipy import stats as scipy_stats  # here, so that importing the CLI stays cheap
 
@@ -89,6 +81,26 @@ def _mean_ci(samples: list[float]) -> tuple[float, float]:
         return mean, 0.0
     sem = statistics.stdev(samples) / len(samples) ** 0.5
     return mean, float(scipy_stats.t.ppf(0.975, len(samples) - 1)) * sem
+
+
+def _timed(session: LocalSession, run, plain_run, args: list, warmup: int) -> tuple[float, float, float, float]:
+    """Time ``run(arg)`` and count its round trips for each arg, then time
+    ``plain_run(arg)``; return a BenchRow's mean, CI, trips and baseline
+    over the args after the first ``warmup``."""
+    times, trips = [], []
+    for arg in args:
+        before = session.stats.requests_sent
+        t0 = time.perf_counter()
+        run(arg)
+        times.append((time.perf_counter() - t0) * 1000.0)
+        trips.append(session.stats.requests_sent - before)
+    base = []
+    for arg in args:
+        t0 = time.perf_counter()
+        plain_run(arg)
+        base.append((time.perf_counter() - t0) * 1000.0)
+    kept = slice(warmup, None)
+    return (*_mean_ci(times[kept]), statistics.fmean(trips[kept]), statistics.fmean(base[kept]))
 
 
 def run_bench(cfg: BenchConfig) -> BenchReport:
@@ -102,54 +114,23 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
         session = LocalSession(store)
         plain = sorted(values)
 
+        def search(q):
+            read_values(key, session, search_range(key, session, q, dom), dom)
+
+        def plain_search(q):
+            plain[bisect_left(plain, q.a): bisect_right(plain, q.b)]
+
         for span in cfg.range_sizes:
             queries = []
             for _ in range(cfg.repeats):
                 a = rng.randrange(dom.size - span)
                 queries.append(RangeQuery(a, a + span - 1))
-            times, trips = [], []
-            for q in queries:
-                before = session.stats.requests_sent
-                t0 = time.perf_counter()
-                result = search_range(key, session, q, dom)
-                read_values(key, session, result, dom)
-                times.append((time.perf_counter() - t0) * 1000.0)
-                trips.append(session.stats.requests_sent - before)
-            base = []
-            for q in queries:
-                t0 = time.perf_counter()
-                plain[bisect_left(plain, q.a): bisect_right(plain, q.b)]
-                base.append((time.perf_counter() - t0) * 1000.0)
-            kept = slice(cfg.warmup, None)
-            mean, ci = _mean_ci(times[kept])
-            rows.append(
-                BenchRow(
-                    "search", n, span, mean, ci,
-                    statistics.fmean(trips[kept]), statistics.fmean(base[kept]),
-                )
-            )
+            rows.append(BenchRow("search", n, span, *_timed(session, search, plain_search, queries, cfg.warmup)))
 
         for k in cfg.k_values:
-            if k > n:
-                continue
-            times, trips = [], []
-            for _ in range(cfg.repeats):
-                before = session.stats.requests_sent
-                t0 = time.perf_counter()
-                top_k(key, session, k, dom)
-                times.append((time.perf_counter() - t0) * 1000.0)
-                trips.append(session.stats.requests_sent - before)
-            base = []
-            for _ in range(cfg.repeats):
-                t0 = time.perf_counter()
-                plain[:k]
-                base.append((time.perf_counter() - t0) * 1000.0)
-            kept = slice(cfg.warmup, None)
-            mean, ci = _mean_ci(times[kept])
-            rows.append(
-                BenchRow(
-                    "topk", n, k, mean, ci,
-                    statistics.fmean(trips[kept]), statistics.fmean(base[kept]),
+            if k <= n:
+                timed = _timed(
+                    session, lambda k: top_k(key, session, k, dom), lambda k: plain[:k], [k] * cfg.repeats, cfg.warmup
                 )
-            )
+                rows.append(BenchRow("topk", n, k, *timed))
     return BenchReport(rows)

@@ -3,7 +3,7 @@
 Each trial: the adversary commits to two equal-size plaintext multisets,
 the challenger encrypts one of them (fresh key, fresh coins) into the
 target structure, and the adversary names one position and a plaintext
-guess for it.  A trial succeeds when the guessed cell decrypts to the
+guess for it.  A trial succeeds when the guessed position holds the
 guessed value.  The adversary also reports the frequency of its guessed
 value in the union of the two multisets; the gap between the empirical
 success rate and that baseline frequency is the measured advantage.
@@ -17,11 +17,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from ..cipher import SecretKey, decrypt, keygen
-from ..core import CoinSource, Domain, insert
-from ..store import DenseStore
-from ..transforms import build_det, build_fhope, build_ope, leakage_view
-from ..transport import LocalSession
+from ..cipher import SecretKey, keygen
+from ..core import Domain
+from ..transforms import TARGETS, build_target, leakage_view
 
 
 class GameError(Exception):
@@ -110,31 +108,6 @@ ADVERSARIES = {
     MultisetDistinguisher.name: MultisetDistinguisher,
 }
 
-TARGETS = ("main_eseds", "fhope", "ope", "det")
-
-
-def _build_target(target: str, key: SecretKey, multiset: list[int], dom: Domain, rng: random.Random):
-    if target == "main_eseds":
-        store = DenseStore(rng=random.Random(rng.getrandbits(64)))
-        session = LocalSession(store)
-        coins = CoinSource(rng.getrandbits(64))
-        for m in multiset:
-            insert(key, session, m, dom, coins=coins)
-        return store
-    if target == "fhope":
-        return build_fhope(key, multiset, dom.size, coins=CoinSource(rng.getrandbits(64)))
-    if target == "ope":
-        return build_ope(key, multiset, dom.size)
-    if target == "det":
-        return build_det(key, multiset, dom.size)
-    raise GameError(f"unknown target {target!r}")
-
-
-def _decrypt_at(key: SecretKey, structure, j: int) -> int:
-    if isinstance(structure, DenseStore):
-        return decrypt(key, structure.get_cell(j))
-    return structure.decrypt_cell(key, j)
-
 
 def run_game(cfg: GameConfig) -> GameResult:
     """Play ``cfg.trials`` independent rounds and aggregate.
@@ -155,11 +128,11 @@ def run_game(cfg: GameConfig) -> GameResult:
         multiset = list((m0, m1)[b])
         key = SecretKey(rng.randbytes(32)) if cfg.seed is not None else keygen()
         dom = Domain(max(*m0, *m1) + 1)
-        structure = _build_target(cfg.target, key, multiset, dom, rng)
+        structure, truth = build_target(cfg.target, key, multiset, dom, rng)
         j, m_guess = adversary.guess(structure)
         if not 0 <= j < len(multiset):
             raise GameError(f"guess position {j} out of range")
-        if _decrypt_at(key, structure, j) == m_guess:
+        if truth[j] == m_guess:
             successes += 1
         pool = m0 + m1
         baseline_sum += pool.count(m_guess) / len(pool)

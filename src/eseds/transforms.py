@@ -1,4 +1,4 @@
-"""Legacy encrypted layouts rebuilt as attack targets.
+"""Legacy encrypted layouts rebuilt as attack targets, and the lab's target table.
 
 Three weaker schemes are reproduced in the same cell-array shape so the
 attacks module can be pointed at any of them: deterministic encryption
@@ -10,15 +10,21 @@ per position, which stays in memory for scoring and is never serialized.
 
 ``store`` owns the file format of these layouts too: each layout here only
 turns itself into record columns (``records()``) and back (``from_records``).
+
+``TARGETS`` names the four structures the attack lab builds (the three
+layouts and the main rotated store), and ``build_target`` is the one place
+that builds them and says which plaintext sits at each position.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .cipher import SecretKey, decrypt, encrypt, prf
-from .core import CoinSource
-from .store import MODE_DECOUPLED, MODE_DENSE, MODE_DET, MODE_FHOPE, MODE_OPE, FormatError, load_file, save_layout
+from .core import CoinSource, Domain
+from .store import MODE_DECOUPLED, MODE_DENSE, MODE_DET, MODE_FHOPE, MODE_OPE
+from .store import DenseStore, FormatError, load_file, save_layout
 
 NO_NEXT = -1
 
@@ -283,6 +289,34 @@ def build_fhope(
     out = FhopeEseds(cells, values)
     out.placement = order  # occurrence index per position, for tie tests
     return out
+
+
+def bulk_store(key: SecretKey, values: list[int], dom: Domain, rng: random.Random) -> DenseStore:
+    """Encrypted store holding the values in rotated sorted order."""
+    ordered = sorted(values)
+    cells = [encrypt(key, v, dom.size) for v in ordered]
+    rot = rng.randrange(len(cells)) if cells else 0
+    return DenseStore(cells[rot:] + cells[:rot])
+
+
+TARGETS = ("main_eseds", "fhope", "ope", "det")
+
+
+def build_target(name: str, key: SecretKey, multiset: list[int], dom: Domain, rng: random.Random):
+    """Build the named target over the multiset and return it with its truth,
+    the plaintext at each position.  Only main_eseds and fhope draw from rng."""
+    if name == "main_eseds":
+        store = bulk_store(key, multiset, dom, rng)
+        return store, [decrypt(key, cell) for cell in store.logical_cells()]
+    if name == "fhope":
+        target = build_fhope(key, multiset, dom.size, coins=CoinSource(rng.getrandbits(64)))
+    elif name == "ope":
+        target = build_ope(key, multiset, dom.size)
+    elif name == "det":
+        target = build_det(key, multiset, dom.size)
+    else:
+        raise ValueError(f"unknown target {name!r}")
+    return target, list(target.cell_values)
 
 
 def leakage_view(target) -> LeakageView:

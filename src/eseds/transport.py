@@ -507,21 +507,22 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
     def handle(self):
         sock = self.request
         server: StoreServer = self.server.store_server  # type: ignore[attr-defined]
-        while True:
-            try:
-                frame = read_frame(sock)
-                if frame is None:
+        try:
+            while True:
+                try:
+                    frame = read_frame(sock)
+                    if frame is None:
+                        return
+                    msg = decode(frame)
+                    if not isinstance(msg, _REQUESTS):
+                        raise CodecError(f"{type(msg).__name__} is not a request")
+                except CodecError as e:
+                    # fail-safe: report, then drop the connection; store untouched
+                    sock.sendall(encode(ErrorMsg(E_BAD_REQUEST, str(e))))
                     return
-                msg = decode(frame)
-                if not isinstance(msg, _REQUESTS):
-                    raise CodecError(f"{type(msg).__name__} is not a request")
-            except CodecError as e:
-                # fail-safe: report, then drop the connection; store untouched
-                sock.sendall(encode(ErrorMsg(E_BAD_REQUEST, str(e))))
-                return
-            except (TransportError, OSError):  # the client left mid-frame or reset
-                return
-            sock.sendall(encode(server.handle(msg)))
+                sock.sendall(encode(server.handle(msg)))
+        except (TransportError, OSError):  # the client left mid-frame or reset, even before its reply
+            return
 
 
 def _no_delay(sock: socket.socket) -> None:

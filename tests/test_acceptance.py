@@ -25,11 +25,11 @@ from eseds.attacks import (
 )
 from eseds.cipher import encrypt, keygen
 from eseds.cli.attack import run_attack
-from eseds.cli.bench import BenchConfig, bulk_store, run_bench
+from eseds.cli.bench import BenchConfig, run_bench
 from eseds.cli.game import GameConfig, run_game
 from eseds.core import CoinSource, Domain, RangeQuery, insert, search_range
 from eseds.store import DecoupledStore, DenseStore, load as load_store
-from eseds.transforms import build_det, build_fhope, build_ope, load_any
+from eseds.transforms import build_det, build_fhope, build_ope, bulk_store, load_any
 from eseds.transport import (
     Cells,
     ErrorMsg,

@@ -12,9 +12,10 @@ import pytest
 
 import eseds
 from eseds import store as store_mod
-from eseds.cli import UserError, _parse_addr, main, open_session, read_keyfile
+from eseds.cli import UserError, _parse_addr, build_parser, main, open_session, read_keyfile
 from eseds.core import CoinSource, insert
 from eseds.store import DenseStore
+from eseds.transforms import TARGETS
 from eseds.transport import DEFAULT_PORT, serve
 
 
@@ -362,6 +363,21 @@ def test_attack_seed_reproducible(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("option", ["--n", "--domain-size"])
+def test_attack_refuses_a_size_below_one(capsys, option):
+    code, out, err = run(capsys, "attack", "--target", "det", "--attack", "lp", option, "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: attack:") and option in err
+
+
+def test_lab_commands_take_their_targets_from_the_transform_table():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name in ("attack", "game"):
+        (target,) = [a for a in commands.choices[name]._actions if a.dest == "target"]
+        assert tuple(target.choices) == TARGETS
 
 
 def test_game_command_line_format(capsys):

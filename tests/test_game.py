@@ -4,7 +4,6 @@ import pytest
 
 from eseds.cli.game import (
     ADVERSARIES,
-    TARGETS,
     GameConfig,
     GameError,
     GameResult,
@@ -12,6 +11,7 @@ from eseds.cli.game import (
     PositionGuesser,
     run_game,
 )
+from eseds.transforms import TARGETS
 
 
 def test_config_validation():

@@ -11,7 +11,6 @@ import stat
 import pytest
 
 import eseds.store as store_mod
-from eseds.cli.bench import bulk_store
 from eseds.core import CoinSource, Domain
 from eseds.store import (
     MAGIC,
@@ -31,7 +30,7 @@ from eseds.store import (
     load,
 )
 
-from eseds.transforms import build_det, build_fhope, build_ope, load_any
+from eseds.transforms import build_det, build_fhope, build_ope, bulk_store, load_any
 
 from helpers import chi_square_uniform_p, reference_store_file
 

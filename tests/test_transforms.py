@@ -21,6 +21,7 @@ from eseds.store import (
 )
 from eseds.transforms import (
     NO_NEXT,
+    TARGETS,
     DetEseds,
     FhopeEseds,
     LeakageView,
@@ -29,6 +30,7 @@ from eseds.transforms import (
     build_det,
     build_fhope,
     build_ope,
+    build_target,
     leakage_view,
     load_any,
 )
@@ -304,3 +306,29 @@ def test_saved_transform_has_no_plaintext(tmp_path, key):
     det.save(path)
     raw = path.read_bytes()
     assert key.bytes not in raw
+
+
+# ---------------------------------------------------------------------------
+# the lab's target table
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", TARGETS)
+def test_build_target_truth_is_the_plaintext_at_each_position(key, name):
+    dom = Domain(16)
+    for seed in range(4):
+        rng = random.Random(seed)
+        multiset = [rng.randrange(6) for _ in range(rng.randrange(1, 30))]  # duplicates throughout
+        structure, truth = build_target(name, key, multiset, dom, rng)
+        if isinstance(structure, DenseStore):
+            at = [decrypt(key, cell) for cell in structure.logical_cells()]
+        else:
+            at = [structure.decrypt_cell(key, j) for j in range(len(structure))]
+        assert truth == at
+        assert sorted(truth) == sorted(multiset)
+        assert leakage_view(structure).n == len(multiset)
+
+
+def test_build_target_refuses_an_unknown_name(key):
+    with pytest.raises(ValueError, match="unknown target"):
+        build_target("plaintext", key, [1, 2], Domain(4), random.Random(0))

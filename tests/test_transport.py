@@ -5,9 +5,11 @@ import contextlib
 import pathlib
 import random
 import socket
+import struct
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -653,6 +655,41 @@ def test_tcp_server_refuses_a_declared_length_over_the_cap(tcp_server, monkeypat
         sock.sendall((101).to_bytes(4, "big"))  # the body is never sent
         msg = decode(_read_until_closed(sock))
     assert isinstance(msg, ErrorMsg) and msg.code == 1
+
+
+def test_tcp_server_drops_a_client_that_resets_before_its_reply_quietly():
+    # the store answers only after the client has reset the connection, so
+    # the server's reply meets the reset; that must end the connection
+    # without reaching socketserver's handle_error, and serve the next client
+    entered, released = threading.Event(), threading.Event()
+
+    class Held(DenseStore):
+        def get_range(self, start, count):
+            entered.set()
+            released.wait(5)
+            return super().get_range(start, count)
+
+    with _serving(Held([b"a" * 36] * 4)) as server:
+        errors, done = [], threading.Event()
+        server.handle_error = lambda request, address: errors.append(sys.exc_info()[1])
+        shutdown_request = server.shutdown_request
+
+        def closed(request):  # called after handle_error, when the handler is done
+            shutdown_request(request)
+            done.set()
+
+        server.shutdown_request = closed
+        sock = socket.create_connection(server.server_address, timeout=5)
+        sock.sendall(encode(GetRange(0, 4)))
+        assert entered.wait(5)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()  # linger 0: the peer gets a reset, not a clean close
+        time.sleep(0.05)
+        released.set()
+        assert done.wait(5)
+        with TcpSession(*server.server_address) as session:
+            assert session.length() == 4
+    assert errors == []
 
 
 @contextlib.contextmanager
