@@ -6,7 +6,9 @@ distribution.  An attack returns an :class:`AttackMapping`, either one
 guess per ciphertext class ("class" kind) or one guess per table position
 ("position" kind).  :func:`score` compares a mapping against the matching
 shape of ground truth: a label-to-value dict for class mappings, a
-per-position value sequence for position mappings.
+per-position value sequence for position mappings.  ``ATTACKS`` gives
+the lab one shape for all five: a snapshot's class label per position and
+the known plaintext multiset in, one guess per position out.
 
 Costs in the assignment attacks are kept exact.  With an integer exponent
 every cost is an integer; cumulative terms compare count ratios with
@@ -18,11 +20,15 @@ float64 solver to hold exactly raise :class:`AttackError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 
 
 class AttackError(Exception):
-    """Attack preconditions not met (wrong shapes, inapplicable target)."""
+    """Attack preconditions not met (wrong shapes, costs it cannot hold)."""
+
+
+class Inapplicable(AttackError):
+    """The data breaks a precondition of the attack itself, not a shape."""
 
 
 @dataclass(frozen=True)
@@ -52,42 +58,6 @@ class Histogram:
             seen[l] = seen.get(l, 0) + 1
         ordered = sorted(seen)
         return cls(tuple(ordered), tuple(seen[l] for l in ordered))
-
-
-@dataclass(frozen=True)
-class Cdf:
-    """Running totals over a histogram's label order, exact by construction.
-
-    ``cum_counts[i]`` is the number of items with label at or before
-    position i; the last entry equals ``total``, so the final cumulative
-    fraction is exactly 1.
-    """
-
-    cum_counts: tuple[int, ...]
-    total: int
-
-    def __post_init__(self):
-        prev = 0
-        for c in self.cum_counts:
-            if c < prev:
-                raise AttackError("cumulative counts must be non-decreasing")
-            prev = c
-        if self.cum_counts and self.cum_counts[-1] != self.total:
-            raise AttackError("cumulative counts must end at the total")
-
-    @classmethod
-    def from_histogram(cls, hist: Histogram) -> "Cdf":
-        cum, run = [], 0
-        for c in hist.counts:
-            run += c
-            cum.append(run)
-        return cls(tuple(cum), run)
-
-    @property
-    def fractions(self) -> tuple[Fraction, ...]:
-        if self.total == 0:
-            return tuple(Fraction(0) for _ in self.cum_counts)
-        return tuple(Fraction(c, self.total) for c in self.cum_counts)
 
 
 @dataclass(frozen=True)
@@ -237,21 +207,20 @@ def sorting_attack(unique_classes_in_order, domain) -> AttackMapping:
     size = getattr(domain, "size", domain)
     classes = list(unique_classes_in_order)
     if len(set(classes)) != len(classes):
-        raise AttackError("classes must be unique")
+        raise Inapplicable("classes must be unique")
     if len(classes) != size:
-        raise AttackError(
+        raise Inapplicable(
             f"needs one class per domain value: {len(classes)} classes, domain {size}"
         )
     return AttackMapping("class", tuple((c, v) for v, c in enumerate(classes)))
 
 
-def cumulative_attack(
-    c_hist: Histogram, c_cdf: Cdf, m_hist: Histogram, m_cdf: Cdf, p=1
-) -> AttackMapping:
+def cumulative_attack(c_hist: Histogram, m_hist: Histogram, p=1) -> AttackMapping:
     """Match classes to values on frequency and cumulative position jointly.
 
     Cost of pairing class i with value j is
-    |Δfrequency|^p + |Δcumulative_fraction|^p.  Both differences are
+    |Δfrequency|^p + |Δcumulative_fraction|^p, with cumulative counts
+    running over each histogram's label order.  Both differences are
     cross-multiplied by the totals to stay in integers: every entry picks
     up the same (Tc*Tm)^p factor, which leaves the argmin untouched.
     With equal totals the argmin coincides with the unnormalized sum of
@@ -259,22 +228,13 @@ def cumulative_attack(
     """
     if p <= 0:
         raise AttackError("exponent must be positive")
-    if len(c_cdf.cum_counts) != len(c_hist.labels):
-        raise AttackError("ciphertext cdf does not match its histogram")
-    if len(m_cdf.cum_counts) != len(m_hist.labels):
-        raise AttackError("message cdf does not match its histogram")
-    tc, tm = max(c_cdf.total, 1), max(m_cdf.total, 1)
+    tc, tm = max(c_hist.total, 1), max(m_hist.total, 1)
     c_labels, c_counts, m_labels, m_counts = _padded(c_hist, m_hist)
-    c_cums = list(c_cdf.cum_counts) + [c_cdf.total] * (len(c_labels) - len(c_cdf.cum_counts))
-    m_cums = list(m_cdf.cum_counts) + [m_cdf.total] * (len(m_labels) - len(m_cdf.cum_counts))
-    rows = []
-    for c_n, c_c in zip(c_counts, c_cums):
-        rows.append(
-            [
-                abs(c_n * tm - m_n * tc) ** p + abs(c_c * tm - m_c * tc) ** p
-                for m_n, m_c in zip(m_counts, m_cums)
-            ]
-        )
+    m_pairs = list(zip(m_counts, accumulate(m_counts)))
+    rows = [
+        [abs(c_n * tm - m_n * tc) ** p + abs(c_c * tm - m_c * tc) ** p for m_n, m_c in m_pairs]
+        for c_n, c_c in zip(c_counts, accumulate(c_counts))
+    ]
     return _finish(c_labels, m_labels, _assign(rows))
 
 
@@ -295,3 +255,27 @@ def bucketing_attack(sorted_cipher_positions, known_multiset) -> AttackMapping:
     for value, pos in zip(guess_values, positions):
         per_position[pos] = value
     return AttackMapping("position", tuple(enumerate(per_position)))
+
+
+def _by_class(attack):
+    """Table row of a class attack: histogram both sides, guess per position."""
+
+    def row(labels, known, domain_size) -> AttackMapping:
+        return attack(Histogram.from_labels(labels), Histogram.from_labels(known)).expand(labels)
+
+    return row
+
+
+#: The lab's attacks by name.  Each row takes a snapshot's class labels (one
+#: per position, see ``transforms.leakage_view``), the known plaintext
+#: multiset and the domain size, and returns one guess per position.  Only
+#: sorting raises :class:`Inapplicable`, when the data is not dense.
+ATTACKS = {
+    "frequency": _by_class(frequency_analysis),
+    "lp": _by_class(lp_optimization),
+    # classes in order of first appearance: an OPE table's heads lead in value order
+    "sorting": lambda labels, known, size: sorting_attack(dict.fromkeys(labels), size).expand(labels),
+    "cumulative": _by_class(cumulative_attack),
+    # the guessed sort order is the position order
+    "bucketing": lambda labels, known, size: bucketing_attack(range(len(labels)), known),
+}

@@ -32,7 +32,7 @@ from ..core import (
     search_range,
     top_k,
 )
-from ..attacks import AttackError
+from ..attacks import ATTACKS, AttackError
 from ..store import DecoupledStore, DenseStore, StoreError
 from ..transforms import TARGETS
 from ..transport import (
@@ -43,7 +43,7 @@ from ..transport import (
     TransportError,
     serve,
 )
-from .attack import ATTACKS, DISTRIBUTIONS, run_attack
+from .attack import DISTRIBUTIONS, run_attack
 from .bench import BenchConfig, run_bench
 from .game import ADVERSARIES, GameConfig, GameError, run_game
 

@@ -11,22 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..attacks import (
-    AttackError,
-    Cdf,
-    Histogram,
-    bucketing_attack,
-    cumulative_attack,
-    frequency_analysis,
-    lp_optimization,
-    score,
-    sorting_attack,
-)
+from ..attacks import ATTACKS, AttackError, Inapplicable, score
 from ..cipher import SecretKey
 from ..core import Domain
 from ..transforms import TARGETS, build_target, leakage_view
 
-ATTACKS = ("frequency", "lp", "sorting", "cumulative", "bucketing")
 DISTRIBUTIONS = ("uniform", "zipf", "dense")
 
 
@@ -81,26 +70,9 @@ def run_attack(
     multiset = draw_multiset(n, domain_size, distribution, rng)
     key = SecretKey(rng.randbytes(32))
     structure, truth = build_target(target, key, multiset, Domain(domain_size), rng)
-    view = leakage_view(structure)
-    labels = view.class_labels()
     baseline = max(multiset.count(v) for v in set(multiset)) / n
-
-    c_hist = Histogram.from_labels(labels)
-    m_hist = Histogram.from_labels(multiset)
-    if attack == "frequency":
-        mapping = frequency_analysis(c_hist, m_hist).expand(labels)
-    elif attack == "lp":
-        mapping = lp_optimization(c_hist, m_hist, p=1).expand(labels)
-    elif attack == "cumulative":
-        mapping = cumulative_attack(
-            c_hist, Cdf.from_histogram(c_hist), m_hist, Cdf.from_histogram(m_hist), p=1
-        ).expand(labels)
-    elif attack == "sorting":
-        in_order = list(dict.fromkeys(labels))  # first-appearance order of classes
-        try:
-            mapping = sorting_attack(in_order, domain_size).expand(labels)
-        except AttackError as exc:
-            return AttackReport(attack, target, n, domain_size, None, baseline, str(exc))
-    else:  # bucketing: the leaked (or guessed) sort order is the position order
-        mapping = bucketing_attack(list(range(n)), multiset)
+    try:
+        mapping = ATTACKS[attack](leakage_view(structure), multiset, domain_size)
+    except Inapplicable as exc:
+        return AttackReport(attack, target, n, domain_size, None, baseline, str(exc))
     return AttackReport(attack, target, n, domain_size, score(mapping, truth), baseline)

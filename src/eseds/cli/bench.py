@@ -24,6 +24,11 @@ from ..transforms import bulk_store
 from ..transport import LocalSession
 
 
+def _domain_size(n: int) -> int:
+    """Plaintext domain of an n-value bench store: room for n distinct samples."""
+    return max(8 * n, 16)
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     db_sizes: list[int] = field(default_factory=lambda: [10_000])
@@ -38,6 +43,11 @@ class BenchConfig:
             raise ValueError("need repeats > warmup >= 0")
         if any(n <= 0 for n in self.db_sizes + self.range_sizes + self.k_values):
             raise ValueError("sizes must be positive")
+        for n in self.db_sizes:
+            if max(self.range_sizes, default=0) >= _domain_size(n):
+                raise ValueError(
+                    f"--range-sizes must stay below {_domain_size(n)}, the domain of db size {n}"
+                )
 
 
 @dataclass(frozen=True)
@@ -107,7 +117,7 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
     rng = random.Random(cfg.seed)
     rows: list[BenchRow] = []
     for n in cfg.db_sizes:
-        dom = Domain(max(8 * n, 16))
+        dom = Domain(_domain_size(n))
         key = keygen()
         values = rng.sample(range(dom.size), n)
         store = bulk_store(key, values, dom, random.Random(rng.getrandbits(64)))

@@ -2,7 +2,8 @@
 
 Each trial: the adversary commits to two equal-size plaintext multisets,
 the challenger encrypts one of them (fresh key, fresh coins) into the
-target structure, and the adversary names one position and a plaintext
+target structure, and the adversary, shown only what a snapshot of it
+shows (one class label per position), names one position and a plaintext
 guess for it.  A trial succeeds when the guessed position holds the
 guessed value.  The adversary also reports the frequency of its guessed
 value in the union of the two multisets; the gap between the empirical
@@ -75,17 +76,17 @@ class PositionGuesser:
     def choose(self) -> tuple[list[int], list[int]]:
         return [0, 1], [0, 1]
 
-    def guess(self, structure) -> tuple[int, int]:
+    def guess(self, labels: tuple[int, ...]) -> tuple[int, int]:
         return 0, 0
 
 
 class MultisetDistinguisher:
     """Commits to all-zeros vs all-ones and guesses from what it can see.
 
-    The two multisets are constant, so every leakage view degenerates to
-    a single class and nothing observable separates them; the adversary
-    still inspects the view, exercising the full two-phase interface, and
-    lands exactly on the frequency baseline.
+    The two multisets are constant, so every snapshot shows the same class
+    labels in either world and nothing observable separates them; the
+    adversary still inspects the labels, exercising the full two-phase
+    interface, and lands exactly on the frequency baseline.
     """
 
     name = "multiset_distinguisher"
@@ -96,9 +97,8 @@ class MultisetDistinguisher:
     def choose(self) -> tuple[list[int], list[int]]:
         return [0] * self.size, [1] * self.size
 
-    def guess(self, structure) -> tuple[int, int]:
-        view = leakage_view(structure)
-        if view.n != self.size:
+    def guess(self, labels: tuple[int, ...]) -> tuple[int, int]:
+        if len(labels) != self.size:
             raise GameError("structure size does not match the committed multisets")
         return 0, 0
 
@@ -129,7 +129,7 @@ def run_game(cfg: GameConfig) -> GameResult:
         key = SecretKey(rng.randbytes(32)) if cfg.seed is not None else keygen()
         dom = Domain(max(*m0, *m1) + 1)
         structure, truth = build_target(cfg.target, key, multiset, dom, rng)
-        j, m_guess = adversary.guess(structure)
+        j, m_guess = adversary.guess(leakage_view(structure))
         if not 0 <= j < len(multiset):
             raise GameError(f"guess position {j} out of range")
         if truth[j] == m_guess:

@@ -12,8 +12,9 @@ per position, which stays in memory for scoring and is never serialized.
 turns itself into record columns (``records()``) and back (``from_records``).
 
 ``TARGETS`` names the four structures the attack lab builds (the three
-layouts and the main rotated store), and ``build_target`` is the one place
-that builds them and says which plaintext sits at each position.
+layouts and the main rotated store), ``build_target`` is the one place
+that builds them and says which plaintext sits at each position, and
+``leakage_view`` is all that a snapshot of any of them shows.
 """
 
 from __future__ import annotations
@@ -36,27 +37,6 @@ class ChainSlot:
     kw_ct: bytes
     id_ct: bytes
     next: int  # slot index of the next duplicate, NO_NEXT at chain end
-
-
-@dataclass(frozen=True)
-class LeakageView:
-    """Exactly what a snapshot adversary sees.
-
-    kind "det": positions are PRF buckets, classes group chained duplicates,
-    order carries no information.  kind "ope": positions are sorted ranks of
-    the distinct values, same chain classes.  kind "fhope": positions are
-    sorted ranks of occurrences, every ciphertext unique.  kind "main": the
-    array is freshly rotated, so nothing but its length is exposed.
-    """
-
-    kind: str
-    n: int
-    classes: tuple[int, ...] | None = None  # per-position chain label, None = all unique
-
-    def class_labels(self) -> list[int]:
-        if self.classes is not None:
-            return list(self.classes)
-        return list(range(self.n))
 
 
 def _derive_chains(slots: list[ChainSlot]) -> tuple[int, ...]:
@@ -83,7 +63,6 @@ def _derive_chains(slots: list[ChainSlot]) -> tuple[int, ...]:
 class _ChainTable:
     """Shared behavior of the two chained layouts."""
 
-    kind: str
     mode: int
     domain_bits = 0  # no sparse indices in a transform file
 
@@ -93,12 +72,6 @@ class _ChainTable:
 
     def __len__(self) -> int:
         return len(self.slots)
-
-    def decrypt_cell(self, key: SecretKey, j: int) -> int:
-        return decrypt(key, self.slots[j].kw_ct)
-
-    def leakage_view(self) -> LeakageView:
-        return LeakageView(self.kind, len(self.slots), _derive_chains(self.slots))
 
     def records(self) -> list[list]:
         slots = self.slots  # keyword cells, row-id cells and links, by slot
@@ -121,7 +94,6 @@ class _ChainTable:
 class DetEseds(_ChainTable):
     """Deterministic layout: distinct value at slot prf(k, value, n)."""
 
-    kind = "det"
     mode = MODE_DET
 
     def lookup(self, key: SecretKey, keyword: int) -> list[int]:
@@ -145,19 +117,13 @@ class DetEseds(_ChainTable):
 class OpeEseds(_ChainTable):
     """Order-revealing layout: distinct value i at its sorted rank."""
 
-    kind = "ope"
     mode = MODE_OPE
-
-    def head_order(self) -> list[int]:
-        """Chain labels in ascending head position: the leaked value order."""
-        return sorted(set(_derive_chains(self.slots)))
 
 
 class FhopeEseds:
     """Frequency-hiding order-preserving layout: one cell per occurrence,
     sorted, equal values in coin order."""
 
-    kind = "fhope"
     mode = MODE_FHOPE
     domain_bits = 0
 
@@ -167,12 +133,6 @@ class FhopeEseds:
 
     def __len__(self) -> int:
         return len(self.cells)
-
-    def decrypt_cell(self, key: SecretKey, j: int) -> int:
-        return decrypt(key, self.cells[j])
-
-    def leakage_view(self) -> LeakageView:
-        return LeakageView(self.kind, len(self.cells))
 
     def records(self) -> list[list]:
         return [list(self.cells)]  # one column: the cells in sorted order
@@ -319,12 +279,21 @@ def build_target(name: str, key: SecretKey, multiset: list[int], dom: Domain, rn
     return target, list(target.cell_values)
 
 
-def leakage_view(target) -> LeakageView:
-    """Snapshot leakage of any transform or of a main cell store."""
-    if hasattr(target, "leakage_view"):
-        return target.leakage_view()
-    if getattr(target, "mode", None) in (MODE_DENSE, MODE_DECOUPLED):
-        return LeakageView("main", len(target))
+def leakage_view(target) -> tuple[int, ...]:
+    """What a snapshot shows: one class label per position, equal labels
+    for cells a snapshot shows to hold equal values.
+
+    DET and OPE chain duplicates, so a position's label is its chain's head
+    slot; an OPE head sits at its value's rank, so ascending labels are the
+    value order.  FHOPE and the main stores label each position by itself:
+    every cell is a fresh ciphertext.  A main store's order starts at a
+    uniformly random rotation, except that a decoupled store's sparse
+    indices show which cells came since its last re-spacing, because each
+    insert takes the midpoint of its gap."""
+    if isinstance(target, _ChainTable):
+        return _derive_chains(target.slots)
+    if isinstance(target, FhopeEseds) or getattr(target, "mode", None) in (MODE_DENSE, MODE_DECOUPLED):
+        return tuple(range(len(target)))
     raise TypeError(f"no leakage view for {type(target).__name__}")
 
 

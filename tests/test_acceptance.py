@@ -29,7 +29,7 @@ from eseds.cli.bench import BenchConfig, run_bench
 from eseds.cli.game import GameConfig, run_game
 from eseds.core import CoinSource, Domain, RangeQuery, insert, search_range
 from eseds.store import DecoupledStore, DenseStore, load as load_store
-from eseds.transforms import build_det, build_fhope, build_ope, bulk_store, load_any
+from eseds.transforms import build_det, build_fhope, build_ope, bulk_store, leakage_view, load_any
 from eseds.transport import (
     Cells,
     ErrorMsg,
@@ -295,9 +295,8 @@ def test_criterion_06_sorting_dense_exact_else_inapplicable(capsys):
         values = list(range(domain_size)) + [rng.randrange(domain_size) for _ in range(rng.randrange(20))]
         rng.shuffle(values)
         ope = build_ope(KEY, values, domain_size)
-        view = ope.leakage_view()
-        classes = sorted(set(view.classes))
-        acc = score(sorting_attack(classes, domain_size).expand(view.classes), ope.cell_values)
+        labels = leakage_view(ope)
+        acc = score(sorting_attack(sorted(set(labels)), domain_size).expand(labels), ope.cell_values)
         if acc != 1.0:
             failures.append(f"dense trial {trial}: accuracy {acc} != 1.0")
 

@@ -2,14 +2,16 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
 from eseds.attacks import (
+    ATTACKS,
     AttackError,
     AttackMapping,
-    Cdf,
     Histogram,
+    Inapplicable,
     bucketing_attack,
     cumulative_attack,
     frequency_analysis,
@@ -18,8 +20,8 @@ from eseds.attacks import (
     sorting_attack,
     _assign,
 )
-from eseds.core import Domain
-from eseds.transforms import build_det, build_ope
+from eseds.core import CoinSource, Domain
+from eseds.transforms import build_det, build_fhope, build_ope, leakage_view
 
 from helpers import brute_assignment, bucketing_expectation
 
@@ -44,23 +46,6 @@ def test_histogram_from_labels_sorts():
     assert h.labels == (2, 9)
     assert h.counts == (3, 2)
     assert Histogram.from_labels([]).total == 0
-
-
-def test_cdf_validation():
-    with pytest.raises(AttackError):
-        Cdf((3, 2), 3)
-    with pytest.raises(AttackError):
-        Cdf((1, 2), 5)
-    assert Cdf((), 0).fractions == ()
-
-
-def test_cdf_from_histogram_and_fractions():
-    h = Histogram((0, 1, 2), (3, 3, 2))
-    cdf = Cdf.from_histogram(h)
-    assert cdf.cum_counts == (3, 6, 8)
-    assert cdf.total == 8
-    assert cdf.fractions == (Fraction(3, 8), Fraction(3, 4), Fraction(1))
-    assert cdf.fractions[-1] == 1
 
 
 def test_mapping_kinds_and_lookup():
@@ -99,11 +84,11 @@ def test_score_kinds():
 
 def test_frequency_on_det_view(key):
     det = build_det(key, [5, 5, 9], 16)
-    view = det.leakage_view()
-    c_hist = Histogram.from_labels(view.classes)
+    labels = leakage_view(det)
+    c_hist = Histogram.from_labels(labels)
     m_hist = Histogram.from_labels([5, 5, 9])
     mapping = frequency_analysis(c_hist, m_hist)
-    per_cell = mapping.expand(view.classes)
+    per_cell = mapping.expand(labels)
     assert score(per_cell, det.cell_values) == 1.0
 
 
@@ -186,7 +171,7 @@ def test_lp_refuses_costs_it_cannot_hold_exactly():
     with pytest.raises(AttackError, match="exact range"):  # costs of 2^64
         lp_optimization(c_hist, m_hist, p=2)
     with pytest.raises(AttackError, match="exact range"):
-        cumulative_attack(c_hist, Cdf.from_histogram(c_hist), m_hist, Cdf.from_histogram(m_hist), p=2)
+        cumulative_attack(c_hist, m_hist, p=2)
     # 2^25 squared is 2^50: two rows of it stay exact, and the match is right
     c_hist = Histogram(("a", "b"), (1 << 25, 0))
     m_hist = Histogram((0, 1), (0, 1 << 25))
@@ -209,17 +194,17 @@ def test_assign_refuses_costs_that_float64_would_round():
 
 def test_sorting_reads_dense_order(key):
     ope = build_ope(key, [3, 0, 1, 2, 2], 4)
-    view = ope.leakage_view()
-    classes = sorted(set(view.classes))  # ascending head rank = value order
+    labels = leakage_view(ope)
+    classes = sorted(set(labels))  # ascending head rank = value order
     mapping = sorting_attack(classes, Domain(4))
-    per_cell = mapping.expand(view.classes)
+    per_cell = mapping.expand(labels)
     assert score(per_cell, ope.cell_values) == 1.0
 
 
 def test_sorting_applicability():
-    with pytest.raises(AttackError):
+    with pytest.raises(Inapplicable):
         sorting_attack([0, 1, 1], 3)
-    with pytest.raises(AttackError):
+    with pytest.raises(Inapplicable):
         sorting_attack([0, 1], 3)  # not dense
     assert sorting_attack([42], 1).as_dict() == {42: 0}
 
@@ -232,27 +217,23 @@ def test_sorting_applicability():
 def test_cumulative_uses_position_to_split_frequency_ties():
     # two classes share a count; only the cumulative position separates them
     m_hist = Histogram((0, 1, 2), (3, 3, 2))
-    m_cdf = Cdf.from_histogram(m_hist)
     c_hist = Histogram((20, 10, 30), (3, 3, 2))  # sorted-ciphertext order
-    c_cdf = Cdf.from_histogram(c_hist)
     truth = {20: 0, 10: 1, 30: 2}
 
     freq = frequency_analysis(c_hist, m_hist)
     assert score(freq, truth) == pytest.approx(1 / 3)  # ties guessed wrong
-    cum = cumulative_attack(c_hist, c_cdf, m_hist, m_cdf)
+    cum = cumulative_attack(c_hist, m_hist)
     assert score(cum, truth) == 1.0
 
 
 def test_cumulative_on_dense_view_matches_sorting(key):
     values = [0, 1, 2, 3, 2, 0]
     ope = build_ope(key, values, 4)
-    view = ope.leakage_view()
-    classes = sorted(set(view.classes))
-    c_hist = Histogram(tuple(classes), tuple(view.classes.count(c) for c in classes))
-    c_cdf = Cdf.from_histogram(c_hist)
+    labels = leakage_view(ope)
+    classes = sorted(set(labels))
+    c_hist = Histogram(tuple(classes), tuple(labels.count(c) for c in classes))
     m_hist = Histogram.from_labels(values)
-    m_cdf = Cdf.from_histogram(m_hist)
-    cum = cumulative_attack(c_hist, c_cdf, m_hist, m_cdf)
+    cum = cumulative_attack(c_hist, m_hist)
     assert cum.as_dict() == sorting_attack(classes, Domain(4)).as_dict()
 
 
@@ -268,10 +249,9 @@ def test_cumulative_matches_brute_force(p):
         m_counts = _random_composition(rng, n, k)
         c_hist = Histogram(tuple(range(k)), tuple(c_counts))
         m_hist = Histogram(tuple(range(k)), tuple(m_counts))
-        c_cdf, m_cdf = Cdf.from_histogram(c_hist), Cdf.from_histogram(m_hist)
-        mapping = cumulative_attack(c_hist, c_cdf, m_hist, m_cdf, p=p)
+        mapping = cumulative_attack(c_hist, m_hist, p=p)
         _, best_perms = brute_assignment(
-            c_counts, m_counts, p, list(c_cdf.cum_counts), list(m_cdf.cum_counts)
+            c_counts, m_counts, p, list(accumulate(c_counts)), list(accumulate(m_counts))
         )
         assert _as_perm(mapping, k) in best_perms
 
@@ -285,14 +265,9 @@ def _random_composition(rng, n, k):
 
 def test_cumulative_validation():
     h = Histogram((0,), (2,))
-    good = Cdf.from_histogram(h)
-    bad = Cdf((1, 2), 2)
     with pytest.raises(AttackError):
-        cumulative_attack(h, bad, h, good)
-    with pytest.raises(AttackError):
-        cumulative_attack(h, good, h, bad)
-    with pytest.raises(AttackError):
-        cumulative_attack(h, good, h, good, p=0)
+        cumulative_attack(h, h, p=0)
+    assert cumulative_attack(h, Histogram((), ())).as_dict() == {0: None}
 
 
 # ---------------------------------------------------------------------------
@@ -322,3 +297,25 @@ def test_bucketing_validation():
     with pytest.raises(AttackError):
         bucketing_attack([0, 0, 1], [1, 2, 3])
     assert score(bucketing_attack([0], [9]), [9]) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the lab's attack table
+# ---------------------------------------------------------------------------
+
+
+def test_attack_table_rows_guess_once_per_position(key):
+    values = [3, 1, 3, 0, 2, 1, 3, 2]  # every value of a domain of 4
+    assert tuple(ATTACKS) == ("frequency", "lp", "sorting", "cumulative", "bucketing")
+    builds = (build_det, build_ope, lambda *args: build_fhope(*args, coins=CoinSource(1)))
+    for build in builds:
+        labels = leakage_view(build(key, values, 4))
+        for name, row in ATTACKS.items():
+            try:
+                mapping = row(labels, values, 4)
+            except Inapplicable:
+                # sorting needs one class per domain value; fhope shows eight
+                assert (name, len(set(labels))) == ("sorting", 8)
+                continue
+            assert mapping.kind == "position"
+            assert [j for j, _ in mapping.guesses] == list(range(len(values)))

@@ -12,6 +12,7 @@ import pytest
 
 import eseds
 from eseds import store as store_mod
+from eseds.attacks import ATTACKS, AttackError
 from eseds.cli import UserError, _parse_addr, build_parser, main, open_session, read_keyfile
 from eseds.core import CoinSource, insert
 from eseds.store import DenseStore
@@ -380,6 +381,23 @@ def test_lab_commands_take_their_targets_from_the_transform_table():
         assert tuple(target.choices) == TARGETS
 
 
+def test_attack_command_takes_its_attacks_from_the_attack_table():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (attack,) = [a for a in commands.choices["attack"]._actions if a.dest == "attack"]
+    assert list(attack.choices) == list(ATTACKS)
+
+
+def test_attack_errors_other_than_inapplicable_exit_1(capsys, monkeypatch):
+    def row(labels, known, domain_size):
+        raise AttackError("integer cost over float64's exact range")
+
+    monkeypatch.setitem(ATTACKS, "lp", row)
+    code, out, err = run(capsys, "attack", "--target", "det", "--attack", "lp", "--n", "8", "--domain-size", "4")
+    assert (code, out) == (1, "")
+    assert err == "error: attack: integer cost over float64's exact range\n"
+
+
 def test_game_command_line_format(capsys):
     code, out, _ = run(
         capsys,
@@ -409,3 +427,22 @@ def test_bench_rejects_bad_warmup(capsys):
     code, _, err = run(capsys, "bench", "--repeats", "2", "--warmup", "5")
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("db_sizes, range_size", [("2", "16"), ("2,100", "16"), ("100,2", "17")])
+def test_bench_refuses_a_range_size_at_or_above_the_domain(capsys, db_sizes, range_size):
+    # a db size of n draws its values from a domain of max(8n, 16)
+    code, out, err = run(
+        capsys, "bench", "--db-sizes", db_sizes, "--range-sizes", range_size, "--repeats", "2", "--warmup", "0"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: usage:") and "--range-sizes" in err
+
+
+def test_bench_takes_a_range_size_just_below_the_domain(capsys):
+    code, out, _ = run(
+        capsys, "bench", "--db-sizes", "2", "--range-sizes", "15", "--k-values", "2",
+        "--repeats", "2", "--warmup", "0", "--seed", "1",
+    )
+    assert code == 0
+    assert out.splitlines()[1].split()[:3] == ["search", "2", "15"]

@@ -55,7 +55,7 @@ def test_empty_multisets_rejected(monkeypatch):
 
 def test_out_of_range_guess_rejected(monkeypatch):
     class Wild(PositionGuesser):
-        def guess(self, structure):
+        def guess(self, labels):
             return 5, 0
 
     monkeypatch.setitem(ADVERSARIES, "position_guesser", Wild)
@@ -104,11 +104,26 @@ def test_multiset_distinguisher_inspects_view():
     m0, m1 = adv.choose()
     assert (m0, m1) == ([0, 0, 0], [1, 1, 1])
 
-    class Tiny:
-        mode = 0
-
-        def __len__(self):
-            return 2
-
+    assert adv.guess((0, 1, 2)) == (0, 0)
     with pytest.raises(GameError, match="size"):
-        adv.guess(Tiny())
+        adv.guess((0, 1))
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_adversary_sees_one_label_per_position_and_no_plaintext(monkeypatch, target):
+    # fhope, ope and det keep each position's plaintext on the structure for
+    # scoring; the adversary must get only the labels
+    seen = []
+
+    class Recorder(PositionGuesser):
+        def guess(self, labels):
+            seen.append(labels)
+            return 0, 0
+
+    monkeypatch.setitem(ADVERSARIES, "position_guesser", Recorder)
+    run_game(GameConfig(100, "position_guesser", target, seed=1))
+    assert len(seen) == 100
+    for labels in seen:
+        assert type(labels) is tuple and len(labels) == 2
+        assert all(type(label) is int for label in labels)
+        assert not hasattr(labels, "cell_values")

@@ -1,0 +1,171 @@
+"""The server's view of each operation, simulated from its stated leakage.
+
+The "Security boundary" of docs/protocol.md states the leakage L of each
+operation on a store of distinct values, with w the index of the smallest
+value and h = Dec(C[0]):
+
+- search [a, b] with read-back: n, w, the number of values below a, the
+  number of matches, whether a = h and whether b + 1 = h (mod N);
+- top-k: n, w, k and whether h = 0;
+- insert of m: n, w, the number of values below m, whether m is already
+  stored, and the client's coins.
+
+For each operation the simulator gets only L.  It builds a dense store of
+the rank codes 3i + 2 (i < n; 3i for a top-k with h = 0) over a domain of
+3n + 3, rotated so that the smallest sits at index w, runs the real
+client on it over ``LocalSession`` with ``wire_log``, and returns the
+request frames.  They must equal the frames the client sends to the real
+store, of either layout.  INSERT_AT is compared by its slot and the
+length of its cell, which is sealed under a fresh nonce.  Small domains
+make a = h, b + 1 = h and an already stored insert value occur often, so
+each run checks that they did.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from eseds.cipher import decrypt, encrypt
+from eseds.core import (
+    CoinSource,
+    Domain,
+    RangeQuery,
+    in_cyclic_range,
+    insert,
+    read_values,
+    search_range,
+    top_k,
+)
+from eseds.store import DenseStore
+from eseds.transport import INSERT_AT, LocalSession
+
+from instancelib import direct_session, insert_all
+
+INSTANCES = 40
+SEARCHES = 8  # per instance, then two top-k and one insert
+
+
+def _requests(log: list) -> list:
+    """Request frames in order; an INSERT_AT as its header and slot, and its cell's length."""
+    return [
+        (frame[:13], len(frame) - 13) if frame[4] == INSERT_AT else frame
+        for direction, frame in log
+        if direction == "send"
+    ]
+
+
+def _simulated(key, n: int, w: int, low: int = 2):
+    """Session over the rank codes 3i + low over 3n + 3, the smallest at index
+    w, with its wire log, its domain and the code of C[0]."""
+    dom = Domain(3 * n + 3)
+    log: list = []
+    cells = [encrypt(key, 3 * ((j - w) % n) + low, dom.size) for j in range(n)]
+    return LocalSession(DenseStore(cells), wire_log=log), log, dom, 3 * (-w % n) + low
+
+
+def simulate_search(key, n, w, below, matches, a_is_head, b_before_head) -> list:
+    session, log, dom, head = _simulated(key, n, w)
+    # a sits just below the value of rank `below`, or on h; b sits at the
+    # bottom of the gap under rank (below + matches) mod n, or just below h.
+    # Gap 0 runs from 3n through 1, so its bottom is 3n.  When a and b share
+    # a gap, no match puts a at or before b, and n matches put b before a.
+    if matches == 0:
+        a = b = head - 1 if b_before_head else 3 * (below % n or n)
+    else:
+        a = head if a_is_head else 3 * below + 1
+        b = head - 1 if b_before_head else 3 * ((below + matches) % n or n)
+    read_values(key, session, search_range(key, session, RangeQuery(a, b), dom), dom)
+    return _requests(log)
+
+
+def simulate_top_k(key, n, w, k, head_is_zero) -> list:
+    # finding the rotation start bisects toward the values below h, and
+    # there are none to look for when h = 0
+    session, log, dom, _ = _simulated(key, n, w, 0 if head_is_zero else 2)
+    top_k(key, session, k, dom)
+    return _requests(log)
+
+
+def simulate_insert(key, n, w, below, stored, coin_seed) -> list:
+    session, log, dom, _ = _simulated(key, n, w)
+    insert(key, session, 3 * below + (2 if stored else 1), dom, coins=CoinSource(coin_seed))
+    return _requests(log)
+
+
+def _snapshot(key, store) -> tuple[list[int], int]:
+    """The plaintexts in index order and the index of the smallest."""
+    values = [decrypt(key, store.get_cell(j)) for j in range(len(store))]
+    return values, values.index(min(values))
+
+
+@pytest.mark.parametrize("domain_bits", [6, 8])
+@pytest.mark.parametrize("layout", ["dense", "decoupled"])
+def test_request_frames_equal_the_simulators(key, layout, domain_bits):
+    dom = Domain.from_bits(domain_bits)
+    rng = random.Random(f"leakage/{layout}/{domain_bits}")
+    mismatches = []
+    seen = {"a = h": 0, "b + 1 = h": 0, "no match": 0, "all match": 0, "stored": 0}
+    for _ in range(INSTANCES):
+        n = rng.randrange(1, 65)
+        session, store = insert_all(key, rng.sample(range(dom.size), n), dom, rng.getrandbits(64), layout)
+        if layout == "decoupled":
+            store.rebalance()  # a full pass applies a fresh rotation
+        log: list = []
+        session.wire_log = log
+
+        for _ in range(SEARCHES):
+            a, b = rng.randrange(dom.size), rng.randrange(dom.size)
+            values, w = _snapshot(key, store)
+            leak = (
+                n,
+                w,
+                sum(v < a for v in values),
+                sum(in_cyclic_range(v, a, b, dom) for v in values),
+                a == values[0],
+                (b + 1) % dom.size == values[0],
+            )
+            seen["a = h"] += leak[4]
+            seen["b + 1 = h"] += leak[5]
+            seen["no match"] += leak[3] == 0
+            seen["all match"] += leak[3] == n
+            log.clear()
+            read_values(key, session, search_range(key, session, RangeQuery(a, b), dom), dom)
+            if _requests(log) != simulate_search(key, *leak):
+                mismatches.append(("search", a, b, values))
+
+        for k in (1, rng.randrange(1, n + 1)):
+            values, w = _snapshot(key, store)
+            log.clear()
+            top_k(key, session, k, dom)
+            if _requests(log) != simulate_top_k(key, n, w, k, values[0] == 0):
+                mismatches.append(("top-k", k, values))
+
+        values, w = _snapshot(key, store)
+        m = rng.choice((rng.randrange(dom.size), rng.choice(values)))
+        coin_seed = rng.getrandbits(64)
+        seen["stored"] += m in values
+        log.clear()
+        insert(key, session, m, dom, coins=CoinSource(coin_seed))
+        if _requests(log) != simulate_insert(key, n, w, sum(v < m for v in values), m in values, coin_seed):
+            mismatches.append(("insert", m, values))
+
+    assert mismatches == []
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_top_k_shows_whether_c0_holds_the_domains_least_value(key, n):
+    # with w = 0, the rotation bisection probes other cells when h = 0;
+    # every top-k reads C[0] and C[n-1] first, so up to two cells it shows nothing
+    dom = Domain(1 << 8)
+    frames = {}
+    for low in (0, 1):
+        log: list = []
+        session = direct_session(key, list(range(low, low + n)), dom)
+        session.wire_log = log
+        top_k(key, session, 1, dom)
+        frames[low] = _requests(log)
+        assert frames[low] == simulate_top_k(key, n, 0, 1, low == 0)
+    assert (frames[0] != frames[1]) == (n > 2)

@@ -24,7 +24,6 @@ from eseds.transforms import (
     TARGETS,
     DetEseds,
     FhopeEseds,
-    LeakageView,
     OpeEseds,
     _derive_chains,
     build_det,
@@ -52,7 +51,7 @@ def test_det_chain_shape(key):
     # the chain of length 2 holds both fives
     head = Counter(labels).most_common(1)[0][0]
     fives = [j for j in range(3) if labels[j] == head]
-    assert sorted(det.decrypt_cell(key, j) for j in fives) == [5, 5]
+    assert sorted(decrypt(key, det.slots[j].kw_ct) for j in fives) == [5, 5]
 
 
 def test_det_head_sits_at_prf_bucket(key):
@@ -103,16 +102,15 @@ def test_derive_chains_matches_build_truth(key):
         for a in range(len(values)):
             for b in range(len(values)):
                 same_chain = labels[a] == labels[b]
-                same_value = det.decrypt_cell(key, a) == det.decrypt_cell(key, b)
+                same_value = decrypt(key, det.slots[a].kw_ct) == decrypt(key, det.slots[b].kw_ct)
                 assert same_chain == same_value
 
 
 def test_det_leakage_view(key):
     det = build_det(key, [5, 5, 9], 16)
-    view = det.leakage_view()
-    assert view.kind == "det" and view.n == 3
-    assert len(set(view.classes)) == 2
-    assert view.class_labels() == list(view.classes)
+    labels = leakage_view(det)
+    assert labels == _derive_chains(det.slots) and len(labels) == 3
+    assert len(set(labels)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +122,7 @@ def test_ope_heads_in_sorted_rank_order(key):
     ope = build_ope(key, [9, 1, 5, 5, 1, 1], 16)
     # ranks 0..d-1 hold the distinct values in ascending order
     assert [decrypt(key, ope.slots[r].kw_ct) for r in range(3)] == [1, 5, 9]
-    assert ope.head_order() == [0, 1, 2]
+    assert sorted(set(leakage_view(ope))) == [0, 1, 2]  # the leaked value order
     labels = _derive_chains(ope.slots)
     assert Counter(labels)[0] == 3 and Counter(labels)[1] == 2 and Counter(labels)[2] == 1
 
@@ -141,9 +139,7 @@ def test_ope_leakage_orders_classes_by_value(key):
     for _ in range(20):
         values = [rng.randrange(12) for _ in range(rng.randrange(1, 12))]
         ope = build_ope(key, values, 16)
-        view = ope.leakage_view()
-        assert view.kind == "ope"
-        ranks = sorted(set(view.classes))
+        ranks = sorted(set(leakage_view(ope)))
         assert [decrypt(key, ope.slots[r].kw_ct) for r in ranks] == sorted(set(values))
 
 
@@ -157,7 +153,7 @@ def test_fhope_decrypts_sorted(key):
     for _ in range(25):
         values = [rng.randrange(10) for _ in range(rng.randrange(1, 20))]
         fh = build_fhope(key, values, 16, coins=CoinSource(rng.getrandbits(64)))
-        plain = [fh.decrypt_cell(key, j) for j in range(len(fh))]
+        plain = [decrypt(key, cell) for cell in fh.cells]
         assert plain == sorted(values)
         assert fh.cell_values == plain
 
@@ -172,9 +168,7 @@ def test_fhope_ties_take_both_orders(key):
 
 def test_fhope_leakage_view(key):
     fh = build_fhope(key, [2, 2, 5], 8, coins=CoinSource(0))
-    view = fh.leakage_view()
-    assert view == LeakageView("fhope", 3, None)
-    assert view.class_labels() == [0, 1, 2]
+    assert leakage_view(fh) == (0, 1, 2)
 
 
 def test_fhope_every_cell_unique_bytes(key):
@@ -199,15 +193,17 @@ def test_transform_cells_are_plain_bytes(key):
 
 
 def test_leakage_view_dispatch(key):
-    assert leakage_view(build_det(key, [1, 2], 4)).kind == "det"
-    assert leakage_view(build_ope(key, [1, 2], 4)).kind == "ope"
-    assert leakage_view(build_fhope(key, [1, 2], 4)).kind == "fhope"
+    # chained layouts label a position by its chain's head; the others by itself
+    det = build_det(key, [1, 2, 1], 4)
+    assert leakage_view(det) == _derive_chains(det.slots)
+    assert leakage_view(build_ope(key, [2, 1, 2], 4)) == (0, 1, 1)
+    assert leakage_view(build_fhope(key, [1, 1], 4)) == (0, 1)
 
     dom = Domain(8)
-    session, store = insert_all(key, [3, 1], dom, seed=5)
-    assert leakage_view(store) == LeakageView("main", 2, None)
-    _, dec = insert_all(key, [3, 1], dom, seed=5, mode="decoupled")
-    assert leakage_view(dec).kind == "main"
+    session, store = insert_all(key, [3, 1, 3], dom, seed=5)
+    assert leakage_view(store) == (0, 1, 2)
+    _, dec = insert_all(key, [3, 1, 3], dom, seed=5, mode="decoupled")
+    assert leakage_view(dec) == (0, 1, 2)
     with pytest.raises(TypeError):
         leakage_view(object())
 
@@ -321,12 +317,14 @@ def test_build_target_truth_is_the_plaintext_at_each_position(key, name):
         multiset = [rng.randrange(6) for _ in range(rng.randrange(1, 30))]  # duplicates throughout
         structure, truth = build_target(name, key, multiset, dom, rng)
         if isinstance(structure, DenseStore):
-            at = [decrypt(key, cell) for cell in structure.logical_cells()]
+            cells = structure.logical_cells()
+        elif isinstance(structure, FhopeEseds):
+            cells = structure.cells
         else:
-            at = [structure.decrypt_cell(key, j) for j in range(len(structure))]
-        assert truth == at
+            cells = [slot.kw_ct for slot in structure.slots]
+        assert truth == [decrypt(key, cell) for cell in cells]
         assert sorted(truth) == sorted(multiset)
-        assert leakage_view(structure).n == len(multiset)
+        assert len(leakage_view(structure)) == len(multiset)
 
 
 def test_build_target_refuses_an_unknown_name(key):
