@@ -9,6 +9,7 @@ frequent plaintext everywhere: max_m count(m) / n.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from ..attacks import ATTACKS, AttackError, Inapplicable, score
@@ -70,7 +71,7 @@ def run_attack(
     multiset = draw_multiset(n, domain_size, distribution, rng)
     key = SecretKey(rng.randbytes(32))
     structure, truth = build_target(target, key, multiset, Domain(domain_size), rng)
-    baseline = max(multiset.count(v) for v in set(multiset)) / n
+    baseline = max(Counter(multiset).values()) / n
     try:
         mapping = ATTACKS[attack](leakage_view(structure), multiset, domain_size)
     except Inapplicable as exc:

@@ -165,24 +165,15 @@ def _check_plaintext(m: int, dom: Domain, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# bisection helpers (every probe is one cell fetch, deduplicated by _OpView)
+# bisection (every probe is one cell fetch, deduplicated by _OpView)
 # ---------------------------------------------------------------------------
 
 
 def _first_at_least(keyf, lo: int, hi: int, target: int) -> int:
+    """The first of lo..hi-1 whose key is at least target, or hi; keys ascend."""
     while lo < hi:
         mid = (lo + hi) // 2
         if keyf(mid) < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _first_greater(keyf, lo: int, hi: int, target: int) -> int:
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if keyf(mid) <= target:
             lo = mid + 1
         else:
             hi = mid
@@ -232,12 +223,13 @@ def _reading(view: _OpView, n: int, N: int, s: int, A: int):
 
 def _rotation(view: _OpView, n: int, dom: Domain) -> int:
     """Index of the first cell in sorted reading order: the first value
-    below A read from s, or s itself when there is none."""
+    below A read from s, or s itself when there is none.  Each probe asks
+    whether a plaintext is below A, so A = 0, where none is, probes as a
+    store with its smallest value at s does."""
     if n == 1:
         return 0
-    N = dom.size
-    s, A = _frame(view, n, N)
-    w = _first_at_least(lambda j: (view.value(j) - A) % N, s, n, -A % N)
+    s, A = _frame(view, n, dom.size)
+    w = _first_at_least(lambda j: view.value(j) < A, s, n, True)
     return s if w == n else w
 
 
@@ -268,15 +260,13 @@ def insert(key: SecretKey, session, m: int, dom: Domain, coins: CoinSource | Non
     N = dom.size
     s, A = _frame(view, n, N)
     g, gm = _reading(view, n, N, s, A), (m - A) % N
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        v = g(mid)
-        if v < gm or (v == gm and coins.bit()):
-            lo = mid + 1
-        else:
-            hi = mid
-    session.insert_at(s + lo if s + lo <= n else s + lo - n, cell)
+
+    def before(p: int) -> bool:  # m goes before reading position p
+        v = g(p)
+        return v > gm or (v == gm and not coins.bit())
+
+    p = _first_at_least(before, 0, n, True)
+    session.insert_at(s + p if s + p <= n else s + p - n, cell)
     return n + 1
 
 
@@ -310,7 +300,7 @@ def _segments(view, n, N, s, A, a, b):
     # exactly when gb = N-1
     g = _reading(view, n, N, s, A)
     first = _first_at_least(g, 0, n - s, ga)
-    last = n - 1 if gb == N - 1 else _first_greater(g, 0, n - s, gb) - 1
+    last = n - 1 if gb == N - 1 else _first_at_least(g, 0, n - s, gb + 1) - 1
     if ga <= gb:
         count = last - first + 1
     else:  # matches at both ends of the reading order: one run through its end

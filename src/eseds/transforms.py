@@ -20,6 +20,7 @@ that builds them and says which plaintext sits at each position, and
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .cipher import SecretKey, decrypt, encrypt, prf
@@ -199,8 +200,8 @@ def build_ope(key: SecretKey, plaintexts: list[int], domain_size: int) -> OpeEse
     """Distinct values head chains at their sorted rank (indices 0..d-1);
     duplicate cells fill the remaining slots in value order."""
     n = len(plaintexts)
-    distinct = sorted(set(plaintexts))
-    counts = {v: plaintexts.count(v) for v in distinct}
+    counts = Counter(plaintexts)
+    distinct = sorted(counts)
     slots: list[ChainSlot | None] = [None] * n
     values: list[int | None] = [None] * n
     next_free = len(distinct)

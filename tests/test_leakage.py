@@ -6,19 +6,19 @@ value and h = Dec(C[0]):
 
 - search [a, b] with read-back: n, w, the number of values below a, the
   number of matches, whether a = h and whether b + 1 = h (mod N);
-- top-k: n, w, k and whether h = 0;
+- top-k: n, w and k;
 - insert of m: n, w, the number of values below m, whether m is already
   stored, and the client's coins.
 
 For each operation the simulator gets only L.  It builds a dense store of
-the rank codes 3i + 2 (i < n; 3i for a top-k with h = 0) over a domain of
-3n + 3, rotated so that the smallest sits at index w, runs the real
-client on it over ``LocalSession`` with ``wire_log``, and returns the
-request frames.  They must equal the frames the client sends to the real
-store, of either layout.  INSERT_AT is compared by its slot and the
-length of its cell, which is sealed under a fresh nonce.  Small domains
-make a = h, b + 1 = h and an already stored insert value occur often, so
-each run checks that they did.
+the rank codes 3i + 2 (i < n) over a domain of 3n + 3, rotated so that
+the smallest sits at index w, runs the real client on it over
+``LocalSession`` with ``wire_log``, and returns the request frames.
+They must equal the frames the client sends to the real store, of either
+layout.  INSERT_AT is compared by its slot and the length of its cell,
+which is sealed under a fresh nonce.  Small domains make a = h, b + 1 = h
+and an already stored insert value occur often, so each run checks that
+they did.
 """
 
 from __future__ import annotations
@@ -56,13 +56,13 @@ def _requests(log: list) -> list:
     ]
 
 
-def _simulated(key, n: int, w: int, low: int = 2):
-    """Session over the rank codes 3i + low over 3n + 3, the smallest at index
+def _simulated(key, n: int, w: int):
+    """Session over the rank codes 3i + 2 over 3n + 3, the smallest at index
     w, with its wire log, its domain and the code of C[0]."""
     dom = Domain(3 * n + 3)
     log: list = []
-    cells = [encrypt(key, 3 * ((j - w) % n) + low, dom.size) for j in range(n)]
-    return LocalSession(DenseStore(cells), wire_log=log), log, dom, 3 * (-w % n) + low
+    cells = [encrypt(key, 3 * ((j - w) % n) + 2, dom.size) for j in range(n)]
+    return LocalSession(DenseStore(cells), wire_log=log), log, dom, 3 * (-w % n) + 2
 
 
 def simulate_search(key, n, w, below, matches, a_is_head, b_before_head) -> list:
@@ -80,10 +80,8 @@ def simulate_search(key, n, w, below, matches, a_is_head, b_before_head) -> list
     return _requests(log)
 
 
-def simulate_top_k(key, n, w, k, head_is_zero) -> list:
-    # finding the rotation start bisects toward the values below h, and
-    # there are none to look for when h = 0
-    session, log, dom, _ = _simulated(key, n, w, 0 if head_is_zero else 2)
+def simulate_top_k(key, n, w, k) -> list:
+    session, log, dom, _ = _simulated(key, n, w)
     top_k(key, session, k, dom)
     return _requests(log)
 
@@ -139,7 +137,7 @@ def test_request_frames_equal_the_simulators(key, layout, domain_bits):
             values, w = _snapshot(key, store)
             log.clear()
             top_k(key, session, k, dom)
-            if _requests(log) != simulate_top_k(key, n, w, k, values[0] == 0):
+            if _requests(log) != simulate_top_k(key, n, w, k):
                 mismatches.append(("top-k", k, values))
 
         values, w = _snapshot(key, store)
@@ -155,17 +153,21 @@ def test_request_frames_equal_the_simulators(key, layout, domain_bits):
     assert all(seen.values()), seen
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 64])
-def test_top_k_shows_whether_c0_holds_the_domains_least_value(key, n):
-    # with w = 0, the rotation bisection probes other cells when h = 0;
-    # every top-k reads C[0] and C[n-1] first, so up to two cells it shows nothing
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+def test_top_k_frames_do_not_show_whether_c0_holds_the_domains_least_value(key, n):
+    # the stores 0..n-1 and 1..n differ only in whether the smallest value is
+    # the domain's least; at every rotation top-k must send the same frames
     dom = Domain(1 << 8)
-    frames = {}
-    for low in (0, 1):
-        log: list = []
-        session = direct_session(key, list(range(low, low + n)), dom)
-        session.wire_log = log
-        top_k(key, session, 1, dom)
-        frames[low] = _requests(log)
-        assert frames[low] == simulate_top_k(key, n, 0, 1, low == 0)
-    assert (frames[0] != frames[1]) == (n > 2)
+    differ = []
+    for w in range(n):
+        for k in sorted({1, n}):
+            frames = []
+            for low in (0, 1):
+                log: list = []
+                session = direct_session(key, [low + (j - w) % n for j in range(n)], dom)
+                session.wire_log = log
+                top_k(key, session, k, dom)
+                frames.append(_requests(log))
+            if frames != [simulate_top_k(key, n, w, k)] * 2:
+                differ.append((w, k))
+    assert differ == []
