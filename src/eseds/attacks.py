@@ -2,13 +2,13 @@
 
 Every attack consumes only adversary-visible material: equality-class
 histograms, leaked orders, and auxiliary knowledge about the plaintext
-distribution.  An attack returns an :class:`AttackMapping`, either one
-guess per ciphertext class ("class" kind) or one guess per table position
-("position" kind).  :func:`score` compares a mapping against the matching
-shape of ground truth: a label-to-value dict for class mappings, a
-per-position value sequence for position mappings.  ``ATTACKS`` gives
-the lab one shape for all five: a snapshot's class label per position and
-the known plaintext multiset in, one guess per position out.
+distribution.  A guess is a plain value, or None for no guess.  The four
+class attacks (frequency, ℓp, sorting, cumulative) return a dict from
+ciphertext class label to guess; :func:`bucketing_attack` returns one
+guess per table position.  ``ATTACKS`` gives the lab one shape for all
+five: a snapshot's class label per position and the known plaintext
+multiset in, a list of one guess per position out.  :func:`score`
+compares such a list with the plaintext at each position.
 
 Costs in the assignment attacks are kept exact.  With an integer exponent
 every cost is an integer; cumulative terms compare count ratios with
@@ -60,55 +60,13 @@ class Histogram:
         return cls(tuple(ordered), tuple(seen[l] for l in ordered))
 
 
-@dataclass(frozen=True)
-class AttackMapping:
-    """Guesses produced by an attack.
-
-    kind "class": ``guesses`` pairs each ciphertext class label with a
-    guessed value (None = no guess).  kind "position": pairs position
-    indices 0..n-1 with guessed values.
-    """
-
-    kind: str
-    guesses: tuple
-
-    def __post_init__(self):
-        if self.kind not in ("class", "position"):
-            raise AttackError(f"unknown mapping kind {self.kind!r}")
-
-    def as_dict(self) -> dict:
-        return dict(self.guesses)
-
-    def guess(self, label):
-        return self.as_dict().get(label)
-
-    def expand(self, class_labels) -> "AttackMapping":
-        """Per-position mapping from a class mapping, given each position's
-        class label.  Lets class attacks be scored per cell."""
-        if self.kind != "class":
-            raise AttackError("only class mappings expand")
-        guesses = self.as_dict()
-        return AttackMapping(
-            "position", tuple((i, guesses.get(l)) for i, l in enumerate(class_labels))
-        )
-
-
-def score(mapping: AttackMapping, truth) -> float:
-    """Fraction of truth entries the mapping guesses correctly.
-
-    ``truth`` is a dict (label -> value) for class mappings and a sequence
-    of per-position values for position mappings.  Labels the mapping does
-    not cover count as misses.
-    """
-    if mapping.kind == "position":
-        truth = dict(enumerate(truth))
-    elif not isinstance(truth, dict):
-        raise AttackError("class mapping needs a label -> value truth dict")
+def score(guesses, truth) -> float:
+    """Fraction of positions whose guess equals the plaintext there."""
     if not truth:
         raise AttackError("empty truth")
-    guesses = mapping.as_dict()
-    hit = sum(1 for label, value in truth.items() if guesses.get(label) == value)
-    return hit / len(truth)
+    if len(guesses) != len(truth):
+        raise AttackError(f"{len(guesses)} guesses for {len(truth)} positions")
+    return sum(g == t for g, t in zip(guesses, truth)) / len(truth)
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +117,9 @@ def _assign(cost_rows) -> list[int]:
     return list(cols)
 
 
-def _finish(c_labels, m_labels, cols) -> AttackMapping:
-    guesses = []
-    for i, label in enumerate(c_labels):
-        if label is _PAD:
-            continue
-        target = m_labels[cols[i]]
-        guesses.append((label, None if target is _PAD else target))
-    return AttackMapping("class", tuple(guesses))
+def _finish(c_labels, m_labels, cols) -> dict:
+    targets = [None if m_labels[col] is _PAD else m_labels[col] for col in cols]
+    return {label: t for label, t in zip(c_labels, targets) if label is not _PAD}
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +127,7 @@ def _finish(c_labels, m_labels, cols) -> AttackMapping:
 # ---------------------------------------------------------------------------
 
 
-def frequency_analysis(c_hist: Histogram, m_hist: Histogram) -> AttackMapping:
+def frequency_analysis(c_hist: Histogram, m_hist: Histogram) -> dict:
     """Match classes to values by descending frequency.
 
     Ties break toward the smaller label on both sides.  When there are
@@ -183,13 +136,12 @@ def frequency_analysis(c_hist: Histogram, m_hist: Histogram) -> AttackMapping:
     """
     c_order = sorted(zip(c_hist.labels, c_hist.counts), key=lambda t: (-t[1], t[0]))
     m_order = sorted(zip(m_hist.labels, m_hist.counts), key=lambda t: (-t[1], t[0]))
-    guesses = [(c, m) for (c, _), (m, _) in zip(c_order, m_order)]
-    for c, _ in c_order[len(m_order):]:
-        guesses.append((c, None))
-    return AttackMapping("class", tuple(guesses))
+    guesses = dict.fromkeys(c for c, _ in c_order)
+    guesses.update((c, m) for (c, _), (m, _) in zip(c_order, m_order))
+    return guesses
 
 
-def lp_optimization(c_hist: Histogram, m_hist: Histogram, p=1) -> AttackMapping:
+def lp_optimization(c_hist: Histogram, m_hist: Histogram, p=1) -> dict:
     """Minimum-cost matching of classes to values under |Δcount|^p."""
     if p <= 0:
         raise AttackError("exponent must be positive")
@@ -198,13 +150,12 @@ def lp_optimization(c_hist: Histogram, m_hist: Histogram, p=1) -> AttackMapping:
     return _finish(c_labels, m_labels, _assign(rows))
 
 
-def sorting_attack(unique_classes_in_order, domain) -> AttackMapping:
+def sorting_attack(unique_classes_in_order, size: int) -> dict:
     """Read values straight off a leaked order.
 
     Applicable only when every domain value occurs exactly once, so the
     i-th class in leaked order must hold value i.
     """
-    size = getattr(domain, "size", domain)
     classes = list(unique_classes_in_order)
     if len(set(classes)) != len(classes):
         raise Inapplicable("classes must be unique")
@@ -212,10 +163,10 @@ def sorting_attack(unique_classes_in_order, domain) -> AttackMapping:
         raise Inapplicable(
             f"needs one class per domain value: {len(classes)} classes, domain {size}"
         )
-    return AttackMapping("class", tuple((c, v) for v, c in enumerate(classes)))
+    return {c: v for v, c in enumerate(classes)}
 
 
-def cumulative_attack(c_hist: Histogram, m_hist: Histogram, p=1) -> AttackMapping:
+def cumulative_attack(c_hist: Histogram, m_hist: Histogram, p=1) -> dict:
     """Match classes to values on frequency and cumulative position jointly.
 
     Cost of pairing class i with value j is
@@ -238,44 +189,42 @@ def cumulative_attack(c_hist: Histogram, m_hist: Histogram, p=1) -> AttackMappin
     return _finish(c_labels, m_labels, _assign(rows))
 
 
-def bucketing_attack(sorted_cipher_positions, known_multiset) -> AttackMapping:
+def bucketing_attack(known_multiset) -> list:
     """Guess the sorted multiset laid out from the array start.
 
     Against a secretly rotated sorted array this is the natural static
     guess; its expected score is the average overlap between the sorted
     layout and each of the n rotations.
     """
-    positions = list(sorted_cipher_positions)
-    guess_values = sorted(known_multiset)
-    if len(positions) != len(guess_values):
-        raise AttackError("position count must match the known multiset size")
-    if sorted(positions) != list(range(len(positions))):
-        raise AttackError("positions must be a permutation of 0..n-1")
-    per_position = [None] * len(positions)
-    for value, pos in zip(guess_values, positions):
-        per_position[pos] = value
-    return AttackMapping("position", tuple(enumerate(per_position)))
+    return sorted(known_multiset)
+
+
+def _per_position(guesses: dict, labels) -> list:
+    return [guesses[label] for label in labels]
 
 
 def _by_class(attack):
-    """Table row of a class attack: histogram both sides, guess per position."""
+    """Table row of a histogram attack: its guess for each position's class."""
 
-    def row(labels, known, domain_size) -> AttackMapping:
-        return attack(Histogram.from_labels(labels), Histogram.from_labels(known)).expand(labels)
+    def row(labels, known, domain_size) -> list:
+        guesses = attack(Histogram.from_labels(labels), Histogram.from_labels(known))
+        return _per_position(guesses, labels)
 
     return row
 
 
 #: The lab's attacks by name.  Each row takes a snapshot's class labels (one
 #: per position, see ``transforms.leakage_view``), the known plaintext
-#: multiset and the domain size, and returns one guess per position.  Only
-#: sorting raises :class:`Inapplicable`, when the data is not dense.
+#: multiset and the domain size, and returns a list of one guess per
+#: position.  Only sorting raises :class:`Inapplicable`, on data not dense.
 ATTACKS = {
     "frequency": _by_class(frequency_analysis),
     "lp": _by_class(lp_optimization),
     # classes in order of first appearance: an OPE table's heads lead in value order
-    "sorting": lambda labels, known, size: sorting_attack(dict.fromkeys(labels), size).expand(labels),
+    "sorting": lambda labels, known, size: _per_position(
+        sorting_attack(dict.fromkeys(labels), size), labels
+    ),
     "cumulative": _by_class(cumulative_attack),
     # the guessed sort order is the position order
-    "bucketing": lambda labels, known, size: bucketing_attack(range(len(labels)), known),
+    "bucketing": lambda labels, known, size: bucketing_attack(known),
 }

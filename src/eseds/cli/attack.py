@@ -73,7 +73,7 @@ def run_attack(
     structure, truth = build_target(target, key, multiset, Domain(domain_size), rng)
     baseline = max(Counter(multiset).values()) / n
     try:
-        mapping = ATTACKS[attack](leakage_view(structure), multiset, domain_size)
+        guesses = ATTACKS[attack](leakage_view(structure), multiset, domain_size)
     except Inapplicable as exc:
         return AttackReport(attack, target, n, domain_size, None, baseline, str(exc))
-    return AttackReport(attack, target, n, domain_size, score(mapping, truth), baseline)
+    return AttackReport(attack, target, n, domain_size, score(guesses, truth), baseline)

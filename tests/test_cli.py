@@ -357,6 +357,29 @@ def test_attack_writes_csv(capsys, tmp_path):
     assert lines[1].startswith("frequency,det,32,8,")
 
 
+@pytest.mark.parametrize(
+    "target, attack", [("fhope", "sorting"), ("fhope", "bucketing"), ("det", "frequency")]
+)
+def test_attack_csv_row_holds_the_printed_accuracy(capsys, tmp_path, target, attack):
+    out_path = tmp_path / "report.csv"
+    code, out, _ = run(
+        capsys,
+        "attack", "--target", target, "--attack", attack,
+        "--n", "64", "--domain-size", "16", "--seed", "5", "--out", str(out_path),
+    )
+    assert code == 0
+    header, row = out_path.read_text().splitlines()
+    assert header == "attack,target,n,N,accuracy,baseline"
+    *fields, accuracy, baseline = row.split(",")
+    assert fields == [attack, target, "64", "16"]
+    words = out.split()
+    if "inapplicable" in words:  # sorting on 64 positions over 16 values
+        assert (attack, accuracy) == ("sorting", "")
+    else:
+        assert accuracy == words[words.index("accuracy") + 1]
+        assert baseline == words[words.index("baseline") + 1]
+
+
 def test_attack_seed_reproducible(capsys):
     args = (
         "attack", "--target", "main_eseds", "--attack", "bucketing",

@@ -518,6 +518,34 @@ def test_probe_indices_on_distinct_values_follow_a_reference_bisection(key):
         assert probes() == list(dict.fromkeys([0, n - 1] + bisection_probes(f, (m - r) % N)))
 
 
+def test_deep_wrap_search_through_the_frame_equals_the_scan(key):
+    # seeded Zipf stores, each rotated so that index 0 lands inside a run
+    # of r (C[0] = C[1] = C[n-1] = r): bisecting _frame's reading frame
+    # finds the same segments as filtering every cell, for every query
+    rng = random.Random(71)
+    stores = 0
+    for N in (2, 3, 4, 5, 8, 16, 32, 64):
+        dom = Domain(N)
+        weights = [1 / (v + 1) for v in range(N)]
+        for _ in range(6):
+            n = rng.randrange(3, 61)
+            ordered = sorted(rng.choices(range(N), weights, k=n))
+            cells = [encrypt(key, v, N) for v in ordered]
+            inside = [t for t in range(1, n - 1) if ordered[t - 1] == ordered[t] == ordered[t + 1]]
+            for t in rng.sample(inside, min(5, len(inside))):
+                stores += 1
+                rotated = cells[t:] + cells[:t]
+                view = core._OpView(key, LocalSession(DenseStore(rotated)), dom)
+                frame = core._frame(view, n, N)
+                for a in range(N):
+                    for b in range(N):
+                        want = core._segments_scan(view, n, dom, a, b)
+                        assert core._segments(view, n, N, *frame, a, b) == want, (
+                            ordered[t:] + ordered[:t], a, b,
+                        )
+    assert stores == 218
+
+
 def test_deep_wrap_rejects_a_short_range_read(key):
     class ShortReads(LocalSession):
         def get_range(self, start, count, n, cell_len):

@@ -108,6 +108,24 @@ def test_dense_unseeded_rotation_uses_store_rng():
     assert st == want
 
 
+def test_dense_insert_at_layout_matches_a_list_model():
+    # after each insert the logical cells are the old ones with the cell at
+    # slot l, rotated left by the store's draw randrange(n + 1); a twin of
+    # the store's rng replays the draws
+    for seed in range(300):
+        slots = random.Random(f"slots {seed}")
+        model = cells(*range(slots.randrange(20)))
+        st, twin = DenseStore(model, rng=random.Random(seed)), random.Random(seed)
+        for i in range(40):
+            n, cell = len(model), bytes([100 + i]) * 4
+            l = slots.randrange(n + 1)
+            st.insert_at(l, cell)
+            model.insert(l, cell)
+            s = twin.randrange(n + 1)
+            model = model[s:] + model[:s]
+            assert st.logical_cells() == model, (seed, i)
+
+
 def test_dense_store_holds_plain_bytes(key):
     # encrypt returns a bytes subclass; the store keeps untracked plain bytes
     st = bulk_store(key, list(range(50)), Domain(64), random.Random(3))
