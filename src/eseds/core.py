@@ -15,11 +15,15 @@ the run of r-cells wraps past the end of the array (C[n-1] = r).  Then
 A = r + 1, so that r sorts last, and s is the first index that does not
 hold r: 1 when C[1] != r, otherwise (a deep wrap) the client reads the
 store in ranged runs of READ_RUN cells, keeps them as one block and finds
-s with O(log n) local decrypts.  Search bisects g over reading positions,
-insert bisects them for its slot, and top-k starts from the rotation the
-frame gives.  Search and insert are O(log n) probes except on a deep wrap:
-a deep-wrap search still filters every cell with one-cell reads, and every
-insert reads the whole store in ranges.  On distinct values no run wraps.
+s locally.  That takes O(log n) decrypts while the run of r holds at most
+about 2/3 of the cells, so that _off_run's gallop lands in the other
+values' block; past that, _frame decrypts the block from index 2 one cell
+at a time until the run ends, up to n decrypts.  Search bisects g over
+reading positions, insert bisects them for its slot, and top-k starts
+from the rotation the frame gives.  Search and insert are O(log n) probes
+except on a deep wrap: a deep-wrap search still filters every cell with
+one-cell reads, and every insert reads the whole store in ranges.  On
+distinct values no run wraps.
 """
 
 from __future__ import annotations

@@ -16,7 +16,11 @@ the pre-pass order and an insert between hints does not restart the pass.
 
 This module owns the file format (docs/formats.md) of all five modes:
 ``RECORDS`` gives each mode's record, ``write_file`` and ``load_file`` are the
-one writer and reader, and a layout only turns into record columns and back.
+one writer and reader.  A layout is its ``mode`` plus ``records()``, its
+record columns, and ``from_records``, which takes them back; saving and
+equality come from the ``Layout`` base.  Both server stores share one cell
+array (``_CellArray``): its reads, its logical order and insert's width
+and slot check.
 """
 
 from __future__ import annotations
@@ -120,9 +124,22 @@ def write_file(sink, mode: int, domain_bits: int, columns: list[list]) -> None:
         write_records(out, map(b"".join, zip(*encoded)))
 
 
-def save_layout(layout, sink) -> None:
-    """Write a layout with ``mode``, ``domain_bits`` and ``records()`` to ``sink``."""
-    write_file(sink, layout.mode, layout.domain_bits, layout.records())
+class Layout:
+    """What every store-file layout shares.  A layout is its ``mode`` plus
+    ``records()``, its record columns, and the classmethod ``from_records``
+    that takes them back; saving and equality come from here."""
+
+    mode: int
+    domain_bits = 0  # the sparse index width: 0 in every mode but decoupled
+
+    def save(self, sink) -> None:
+        """Write the layout to a binary stream as it is, or to a path atomically."""
+        write_file(sink, self.mode, self.domain_bits, self.records())
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.domain_bits == other.domain_bits and self.records() == other.records()
 
 
 def _read_exact(src, n: int) -> bytes:
@@ -199,28 +216,6 @@ def _one_width(cells) -> int:
     return widths.pop() if widths else 0
 
 
-def _cyclic_read(cells: list[bytes], start: int, count: int, offset: int = 0) -> bytes:
-    """Logical cells start, start+1, ... (count of them, wrapping past n-1)
-    as one block, where logical cell j is ``cells[(offset + j) % n]``.  One
-    cell is returned as it is stored."""
-    n = len(cells)
-    if not (0 <= start < n and 1 <= count <= n):
-        raise OutOfRange(f"range of {count} from {start} out of range for {n} cells")
-    p = (offset + start) % n
-    if count == 1:
-        return cells[p]
-    end = p + count
-    return b"".join(cells[p:end] if end <= n else cells[p:] + cells[: end - n])
-
-
-def _width_after(width: int, cell: bytes) -> int:
-    """The width of a store of ``width``-byte cells (0 while it has none)
-    once it takes ``cell``; an empty cell, or one of another width, raises."""
-    if not cell or (width and len(cell) != width):
-        raise StoreError(f"a {len(cell)}-byte cell in a store of {width}-byte cells")
-    return len(cell)
-
-
 @contextmanager
 def _as_writer(sink):
     """Accept a binary stream, written as it is, or a filesystem path, written
@@ -249,20 +244,14 @@ def _as_writer(sink):
 
 
 # ---------------------------------------------------------------------------
-# dense mode
+# the cell array both server stores hold
 # ---------------------------------------------------------------------------
 
 
-class DenseStore:
-    """Array of cells with shift-insert and a fresh uniform rotation per insert.
-
-    The rotation is kept as a logical start offset instead of physically
-    copying the array: cell j lives at ``_cells[(_start + j) % n]``.  Save
-    materializes the logical order, so files always load with offset 0.
-    """
-
-    mode = MODE_DENSE
-    domain_bits = 0  # no sparse indices in this mode
+class _CellArray(Layout):
+    """The cells of a server store, all of one width (0 while it has none).
+    Logical cell j is ``_cells[(_start + j) % n]``; a decoupled store keeps
+    ``_start`` at 0, so its sparse indices stay aligned with ``_cells`` by rank."""
 
     def __init__(self, cells: list[bytes] | None = None, *, rng: random.Random | None = None):
         self._cells: list[bytes] = list(map(bytes, cells)) if cells else []
@@ -280,16 +269,56 @@ class DenseStore:
         return self._cells[(self._start + j) % n]
 
     def get_range(self, start: int, count: int) -> bytes:
-        """Logical cells start, start+1, ... (count of them, wrapping past n-1) as one block."""
-        return _cyclic_read(self._cells, start, count, self._start)
+        """Logical cells start, start+1, ... (count of them, wrapping past n-1)
+        as one block.  One cell is returned as it is stored."""
+        cells, n = self._cells, len(self._cells)
+        if not (0 <= start < n and 1 <= count <= n):
+            raise OutOfRange(f"range of {count} from {start} out of range for {n} cells")
+        p = (self._start + start) % n
+        if count == 1:
+            return cells[p]
+        end = p + count
+        return b"".join(cells[p:end] if end <= n else cells[p:] + cells[: end - n])
+
+    def logical_cells(self) -> list[bytes]:
+        return self._cells[self._start :] + self._cells[: self._start]
+
+    def _check_slot(self, l: int, cell: bytes) -> int:
+        """The store's width once ``cell`` goes in at slot l.  An empty cell,
+        or one of another width, raises StoreError; a slot outside 0..n
+        raises OutOfRange."""
+        if not cell or (self.width and len(cell) != self.width):
+            raise StoreError(f"a {len(cell)}-byte cell in a store of {self.width}-byte cells")
+        n = len(self._cells)
+        if not 0 <= l <= n:
+            raise OutOfRange(f"slot {l} out of range for {n} cells")
+        return len(cell)
+
+
+# ---------------------------------------------------------------------------
+# dense mode
+# ---------------------------------------------------------------------------
+
+
+class DenseStore(_CellArray):
+    """Array of cells with shift-insert and a fresh uniform rotation per insert.
+
+    The rotation is a logical start offset, so applying it is O(1).  The
+    insert itself still rebuilds the whole list in O(n), through
+    ``get_cell``.  The rebuild stays until the benchmark runs a fixed
+    operation count (ROADMAP items 1-2): a cheaper insert runs more
+    operations per timed second, and a run of an O(1) insert read as a 27%
+    rise of the gated ``write-dense`` search tail.  Save materializes the
+    logical order, so files always load with offset 0.
+    """
+
+    mode = MODE_DENSE
 
     def insert_at(self, l: int, cell: bytes) -> None:
         """Insert at logical slot l (0 <= l <= n), then rotate by a fresh
         uniform offset drawn from the server's randomness."""
-        width = _width_after(self.width, cell)
+        width = self._check_slot(l, cell)
         n = len(self._cells)
-        if not 0 <= l <= n:
-            raise OutOfRange(f"slot {l} out of range for {n} cells")
         logical = [self.get_cell(j) for j in range(n)]
         logical.insert(l, bytes(cell))
         s = self._rng.randrange(n + 1)
@@ -299,9 +328,6 @@ class DenseStore:
         self._start = s
         self.width = width
 
-    def logical_cells(self) -> list[bytes]:
-        return self._cells[self._start :] + self._cells[: self._start]
-
     def records(self) -> list[list]:
         return [self.logical_cells()]  # one column: the cells in logical order
 
@@ -309,20 +335,13 @@ class DenseStore:
     def from_records(cls, domain_bits: int, columns: list[list]) -> "DenseStore":
         return cls(*columns)
 
-    save = save_layout
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DenseStore):
-            return NotImplemented
-        return self.logical_cells() == other.logical_cells()
-
 
 # ---------------------------------------------------------------------------
 # decoupled mode
 # ---------------------------------------------------------------------------
 
 
-class DecoupledStore:
+class DecoupledStore(_CellArray):
     """Sparse indices and cells in two parallel lists; rank = list position.
 
     An insert takes the midpoint of the two neighboring sparse indices and
@@ -340,11 +359,9 @@ class DecoupledStore:
     def __init__(self, index_bits: int = DEFAULT_INDEX_BITS, *, rng: random.Random | None = None):
         if not _index_bits_ok(MODE_DECOUPLED, index_bits):
             raise StoreError(f"index_bits must be a multiple of 8 in [8, 32768], got {index_bits}")
+        super().__init__(rng=rng)
         self.domain_bits = index_bits
-        self.width = 0  # no cells yet
         self._sparse: list[int] = []
-        self._cells: list[bytes] = []
-        self._rng = rng if rng is not None else random.SystemRandom()
         self._pass_left: int | None = None  # entries the pass in progress has yet to cover
         self.collisions = 0  # inserts that found a full gap; read by tests and the benchmark
 
@@ -352,23 +369,8 @@ class DecoupledStore:
     def index_space(self) -> int:
         return 1 << self.domain_bits
 
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    def get_cell(self, j: int) -> bytes:
-        if not 0 <= j < len(self._cells):
-            raise OutOfRange(f"rank {j} out of range for {len(self._cells)} cells")
-        return self._cells[j]
-
-    def get_range(self, start: int, count: int) -> bytes:
-        """Cells of ranks start, start+1, ... (count of them, wrapping past n-1) as one block."""
-        return _cyclic_read(self._cells, start, count)
-
     def sparse_indices(self) -> list[int]:
         return list(self._sparse)
-
-    def logical_cells(self) -> list[bytes]:
-        return list(self._cells)
 
     def _gap(self, l: int) -> tuple[int, int]:
         """Sparse indices of ranks l-1 and l, with the ends of the index
@@ -382,10 +384,7 @@ class DecoupledStore:
         """Store the cell at rank l (0 <= l <= n), at the midpoint sparse
         index between ranks l-1 and l.  A gap of <= 1 re-spaces the whole
         store first, without rotating it or touching a pass in progress."""
-        width = _width_after(self.width, cell)
-        n = len(self._cells)
-        if not 0 <= l <= n:
-            raise OutOfRange(f"slot {l} out of range for {n} cells")
+        width = self._check_slot(l, cell)
         lo, hi = self._gap(l)
         if hi - lo <= 1:
             self.collisions += 1
@@ -444,13 +443,6 @@ class DecoupledStore:
             raise FormatError("sparse indices not strictly increasing")
         store.width = _one_width(store._cells)
         return store
-
-    save = save_layout
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DecoupledStore):
-            return NotImplemented
-        return (self.domain_bits, self._sparse, self._cells) == (other.domain_bits, other._sparse, other._cells)
 
 
 def load_file(source, layouts: dict):

@@ -8,8 +8,9 @@ frequency-hiding order-preserving placement (one cell per occurrence,
 sorted, ties in coin order).  Each build also records the true plaintext
 per position, which stays in memory for scoring and is never serialized.
 
-``store`` owns the file format of these layouts too: each layout here only
-turns itself into record columns (``records()``) and back (``from_records``).
+``store`` owns the file format of these layouts too.  Each layout here is
+its ``mode`` plus ``records()``, its record columns, and ``from_records``,
+which takes them back; saving and equality come from ``store.Layout``.
 
 ``TARGETS`` names the four structures the attack lab builds (the three
 layouts and the main rotated store), ``build_target`` is the one place
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from .cipher import SecretKey, decrypt, encrypt, prf
 from .core import CoinSource, Domain
 from .store import MODE_DECOUPLED, MODE_DENSE, MODE_DET, MODE_FHOPE, MODE_OPE
-from .store import DenseStore, FormatError, load_file, save_layout
+from .store import DenseStore, FormatError, Layout, load_file
 
 NO_NEXT = -1
 
@@ -61,11 +62,8 @@ def _derive_chains(slots: list[ChainSlot]) -> tuple[int, ...]:
     return tuple(labels)
 
 
-class _ChainTable:
+class _ChainTable(Layout):
     """Shared behavior of the two chained layouts."""
-
-    mode: int
-    domain_bits = 0  # no sparse indices in a transform file
 
     def __init__(self, slots: list[ChainSlot], cell_values: list[int] | None):
         self.slots = slots
@@ -83,13 +81,6 @@ class _ChainTable:
         slots = [ChainSlot(*fields) for fields in zip(*columns)]
         _derive_chains(slots)  # a file's links must form chains that cover the table
         return cls(slots, None)
-
-    save = save_layout
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.slots == other.slots
 
 
 class DetEseds(_ChainTable):
@@ -121,12 +112,11 @@ class OpeEseds(_ChainTable):
     mode = MODE_OPE
 
 
-class FhopeEseds:
+class FhopeEseds(Layout):
     """Frequency-hiding order-preserving layout: one cell per occurrence,
     sorted, equal values in coin order."""
 
     mode = MODE_FHOPE
-    domain_bits = 0
 
     def __init__(self, cells: list[bytes], cell_values: list[int] | None):
         self.cells = cells
@@ -141,13 +131,6 @@ class FhopeEseds:
     @classmethod
     def from_records(cls, domain_bits: int, columns: list[list]) -> "FhopeEseds":
         return cls(*columns, None)
-
-    save = save_layout
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FhopeEseds):
-            return NotImplemented
-        return self.cells == other.cells
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from eseds import core, transport
-from eseds.cipher import encrypt, keygen
+from eseds.cipher import decrypt, encrypt, keygen
 from eseds.core import (
     CoinSource,
     Domain,
@@ -544,6 +544,36 @@ def test_deep_wrap_search_through_the_frame_equals_the_scan(key):
                             ordered[t:] + ordered[:t], a, b,
                         )
     assert stores == 218
+
+
+@pytest.mark.parametrize("share", [0.10, 0.40, 0.66])
+def test_deep_wrapped_top_k_decrypts_o_log_n_cells_while_the_run_holds_at_most_two_thirds(
+    key, monkeypatch, share
+):
+    # the run of r = Dec(C[0]) wraps with `front` cells at the front; while
+    # it holds at most about 2/3 of the store, _off_run's gallop lands in
+    # the other values' block, so the frame decrypts O(log n) cells
+    n, k, r = 1024, 10, 2000
+    dom = Domain(1 << 12)
+    others = random.Random(f"gallop/{share}").sample(
+        [v for v in range(dom.size) if v != r], n - round(share * n)
+    )
+    ordered = sorted(others + [r] * (n - len(others)))
+    cells = [encrypt(key, v, dom.size) for v in ordered]
+    run_end = ordered.index(r) + ordered.count(r)
+    decrypts = []
+
+    def counting(key, cell):
+        decrypts.append(1)
+        return decrypt(key, cell)
+
+    monkeypatch.setattr(core, "decrypt", counting)
+    for front in range(2, ordered.count(r), 13):
+        start = run_end - front
+        del decrypts[:]
+        session = LocalSession(DenseStore(cells[start:] + cells[:start]))
+        assert top_k(key, session, k, dom) == ordered[:k]
+        assert len(decrypts) <= 5 * math.ceil(math.log2(n)) + k, (share, front)
 
 
 def test_deep_wrap_rejects_a_short_range_read(key):

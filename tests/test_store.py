@@ -30,7 +30,16 @@ from eseds.store import (
     load,
 )
 
-from eseds.transforms import build_det, build_fhope, build_ope, bulk_store, load_any
+from eseds.transforms import (
+    DetEseds,
+    FhopeEseds,
+    OpeEseds,
+    build_det,
+    build_fhope,
+    build_ope,
+    bulk_store,
+    load_any,
+)
 
 from helpers import chi_square_uniform_p, reference_store_file
 
@@ -594,17 +603,16 @@ def _fhope_file_case(key, rng):
     return table, reference_store_file(MODE_FHOPE, table.cells)
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        _dense_file_case,
-        _decoupled_file_case,
-        _chain_file_case(build_det, MODE_DET),
-        _chain_file_case(build_ope, MODE_OPE),
-        _fhope_file_case,
-    ],
-    ids=["dense", "decoupled", "det", "ope", "fhope"],
-)
+_FILE_CASES = {
+    "dense": _dense_file_case,
+    "decoupled": _decoupled_file_case,
+    "det": _chain_file_case(build_det, MODE_DET),
+    "ope": _chain_file_case(build_ope, MODE_OPE),
+    "fhope": _fhope_file_case,
+}
+
+
+@pytest.mark.parametrize("case", _FILE_CASES.values(), ids=_FILE_CASES)
 def test_saved_file_matches_reference_encoder(tmp_path, key, case):
     target, want = case(key, random.Random(17))
     path = tmp_path / "t.store"
@@ -632,6 +640,28 @@ def _saved(target) -> bytes:
 
 def _loaders(target):
     return (load, load_any) if target.mode in (MODE_DENSE, MODE_DECOUPLED) else (load_any,)
+
+
+#: a layout of another type over the same cells or slots as the given one
+_OTHER_TYPE = {
+    "dense": lambda st: FhopeEseds(st.logical_cells(), None),
+    "decoupled": lambda st: DenseStore(st.logical_cells()),
+    "det": lambda table: OpeEseds(table.slots, None),
+    "ope": lambda table: DetEseds(table.slots, None),
+    "fhope": lambda table: DenseStore(table.cells),
+}
+
+
+@pytest.mark.parametrize("kind", _FILE_CASES)
+def test_layouts_are_equal_by_type_index_width_and_records(key, kind):
+    target, _ = _FILE_CASES[kind](key, random.Random(23))
+    loaded = load_any(io.BytesIO(_saved(target)))
+    assert loaded == target and not loaded != target
+    other = _OTHER_TYPE[kind](target)
+    assert other.records()[-1] == target.records()[-1]  # the same cells, or the same links
+    assert other != target and target != other
+    if kind == "decoupled":  # the same records under another index width
+        assert DecoupledStore.from_records(2 * target.domain_bits, target.records()) != target
 
 
 @pytest.mark.parametrize("kind", _SMALL_STORES)
