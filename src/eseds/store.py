@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import os
 import random
-import secrets
 import stat
 import struct
 from contextlib import contextmanager, nullcontext
@@ -228,7 +227,7 @@ def _as_writer(sink):
         return
     target = os.path.realpath(sink)
     head, name = os.path.split(target)
-    tmp = os.path.join(head, f".{name}.{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as out:

@@ -1,7 +1,12 @@
 """Probabilistic cell encryption and the keyed PRF."""
 
+import hashlib
+import hmac
+import os
+
 import pytest
 
+from eseds import cipher
 from eseds.cipher import (
     CELL_LEN,
     NONCE_LEN,
@@ -104,7 +109,29 @@ def test_key_repr_redacted():
 def test_key_equality():
     raw = keygen().bytes
     assert SecretKey(raw) == SecretKey(raw)
+    assert hash(SecretKey(raw)) == hash(SecretKey(raw))
     assert SecretKey(raw) != keygen()
+    assert SecretKey(raw) != SecretKey(bytes(b ^ 1 for b in raw))
+    # keys of different widths compare unequal rather than raising
+    assert SecretKey(raw[:16]) != SecretKey(raw)
+    assert SecretKey(raw) != SecretKey(raw[:16])
+    assert (SecretKey(raw) == "x") is False
+
+
+def test_encrypt_draws_a_fresh_nonce_from_urandom_per_call(monkeypatch):
+    # no pool or buffer: a buffer shared across fork would repeat nonces
+    key = keygen()
+    draws = []
+    real = os.urandom
+
+    def urandom(n):
+        draws.append(real(n))
+        return draws[-1]
+
+    monkeypatch.setattr(cipher.os, "urandom", urandom)
+    cells = [encrypt(key, 3, 16) for _ in range(4)]
+    assert [len(d) for d in draws] == [NONCE_LEN] * 4
+    assert [c[:NONCE_LEN] for c in cells] == draws
 
 
 def test_prf_deterministic_and_in_range():
@@ -112,6 +139,17 @@ def test_prf_deterministic_and_in_range():
     assert prf(key, 5, 10) == prf(key, 5, 10)
     assert prf(key, 5, 1) == 0
     assert all(0 <= prf(key, x, 7) < 7 for x in range(200))
+
+
+def test_prf_matches_the_stdlib_hmac_sha256_reference():
+    # the det layout is built from prf, so its bytes are pinned to the
+    # definition: HMAC-SHA256 over b"prf\0" + the 8-byte value, mod m
+    for raw in (bytes(range(16)), bytes(range(100, 132))):
+        key = SecretKey(raw)
+        for v in (0, 1, 12345, (1 << 64) - 1):
+            for m in (1, 7, 1 << 32, 1 << 64, (1 << 64) + 13, (1 << 200) + 1):
+                mac = hmac.new(key.bytes, b"prf\x00" + v.to_bytes(8, "big"), hashlib.sha256)
+                assert prf(key, v, m) == int.from_bytes(mac.digest(), "big") % m
 
 
 def test_prf_depends_on_key():

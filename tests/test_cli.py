@@ -38,14 +38,26 @@ def init(capsys, store, *extra):
     return out
 
 
+def _loaded_after(imports, watched):
+    # a fresh interpreter, so modules this test run imported do not count
+    src = str(Path(eseds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = f"import {imports}, sys; print(sorted({{m.split('.')[0] for m in sys.modules}} & {watched!r}))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_importing_the_cli_loads_no_lab_dependencies():
     # every command pays for what the CLI imports at load; numpy and scipy
     # serve only the attack and bench commands
-    src = str(Path(eseds.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import eseds.cli, sys; print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _loaded_after("eseds.cli", {"numpy", "scipy"}) == "[]"
+
+
+def test_importing_eseds_loads_no_second_openssl():
+    # hashlib, hmac and secrets load the system libcrypto through _hashlib,
+    # about 4 MB beside the OpenSSL that cryptography bundles
+    imports = "eseds, eseds.store, eseds.transport, eseds.cli"
+    assert _loaded_after(imports, {"_hashlib", "hashlib", "hmac", "secrets"}) == "[]"
 
 
 # ---------------------------------------------------------------------------

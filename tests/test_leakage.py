@@ -7,8 +7,8 @@ value and h = Dec(C[0]):
 - search [a, b] with read-back: n, w, the number of values below a, the
   number of matches, whether a = h and whether b + 1 = h (mod N);
 - top-k: n, w and k;
-- insert of m: n, w, the number of values below m, whether m is already
-  stored, and the client's coins.
+- insert of m: n, w and the slot it lands in, which the server reads in
+  INSERT_AT anyway.
 
 For each operation the simulator gets only L.  It builds a dense store of
 the rank codes 3i + 2 (i < n) over a domain of 3n + 3, rotated so that
@@ -16,9 +16,12 @@ the smallest sits at index w, runs the real client on it over
 ``LocalSession`` with ``wire_log``, and returns the request frames.
 They must equal the frames the client sends to the real store, of either
 layout.  INSERT_AT is compared by its slot and the length of its cell,
-which is sealed under a fresh nonce.  Small domains make a = h, b + 1 = h
-and an already stored insert value occur often, so each run checks that
-they did.
+which is sealed under a fresh nonce.  An insert's bisection probes are a
+function of its result, whatever its predicate, so the simulator inserts
+whatever value lands in the given slot.  Small domains make a = h,
+b + 1 = h and an insert value already stored occur often, so each run
+checks that they did.  Slot 0, which only a tie with C[0] reaches, has a
+test of its own.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ def _requests(log: list) -> list:
     ]
 
 
+def _slot(log: list) -> int:
+    """The slot the last INSERT_AT request names: its u64 after the opcode."""
+    return int.from_bytes(_requests(log)[-1][0][5:13], "big")
+
+
 def _simulated(key, n: int, w: int):
     """Session over the rank codes 3i + 2 over 3n + 3, the smallest at index
     w, with its wire log, its domain and the code of C[0]."""
@@ -86,9 +94,22 @@ def simulate_top_k(key, n, w, k) -> list:
     return _requests(log)
 
 
-def simulate_insert(key, n, w, below, stored, coin_seed) -> list:
-    session, log, dom, _ = _simulated(key, n, w)
-    insert(key, session, 3 * below + (2 if stored else 1), dom, coins=CoinSource(coin_seed))
+class _TiesFirst:
+    """Coins that put an inserted value before every cell equal to it."""
+
+    def bit(self) -> int:
+        return 0
+
+
+def simulate_insert(key, n, w, slot) -> list:
+    # reading starts at C[0] on distinct values, so slot l > 0 follows the
+    # code at index l - 1 and takes that code plus 1, which lies in the gap
+    # above it; slot 0 comes before C[0], which only a tie with C[0] reaches
+    session, log, dom, head = _simulated(key, n, w)
+    if slot == 0:
+        insert(key, session, head, dom, coins=_TiesFirst())
+    else:
+        insert(key, session, 3 * ((slot - 1 - w) % n) + 3, dom)
     return _requests(log)
 
 
@@ -104,7 +125,7 @@ def test_request_frames_equal_the_simulators(key, layout, domain_bits):
     dom = Domain.from_bits(domain_bits)
     rng = random.Random(f"leakage/{layout}/{domain_bits}")
     mismatches = []
-    seen = {"a = h": 0, "b + 1 = h": 0, "no match": 0, "all match": 0, "stored": 0}
+    seen = {"a = h": 0, "b + 1 = h": 0, "no match": 0, "all match": 0, "tie": 0}
     for _ in range(INSTANCES):
         n = rng.randrange(1, 65)
         session, store = insert_all(key, rng.sample(range(dom.size), n), dom, rng.getrandbits(64), layout)
@@ -142,15 +163,33 @@ def test_request_frames_equal_the_simulators(key, layout, domain_bits):
 
         values, w = _snapshot(key, store)
         m = rng.choice((rng.randrange(dom.size), rng.choice(values)))
-        coin_seed = rng.getrandbits(64)
-        seen["stored"] += m in values
+        seen["tie"] += m in values  # the coins decide, and the simulator sees neither
         log.clear()
-        insert(key, session, m, dom, coins=CoinSource(coin_seed))
-        if _requests(log) != simulate_insert(key, n, w, sum(v < m for v in values), m in values, coin_seed):
+        insert(key, session, m, dom, coins=CoinSource(rng.getrandbits(64)))
+        if _requests(log) != simulate_insert(key, n, w, _slot(log)):
             mismatches.append(("insert", m, values))
 
     assert mismatches == []
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("layout", ["dense", "decoupled"])
+def test_an_insert_before_c0_equals_the_simulators(key, layout):
+    # a tie with C[0] whose coins put it first is the one way to slot 0
+    dom = Domain.from_bits(6)
+    rng = random.Random(f"leakage/slot0/{layout}")
+    mismatches = []
+    for n in range(1, 33):
+        session, store = insert_all(key, rng.sample(range(dom.size), n), dom, rng.getrandbits(64), layout)
+        if layout == "decoupled":
+            store.rebalance()
+        values, w = _snapshot(key, store)
+        log: list = []
+        session.wire_log = log
+        insert(key, session, values[0], dom, coins=_TiesFirst())
+        if _slot(log) != 0 or _requests(log) != simulate_insert(key, n, w, 0):
+            mismatches.append((n, values))
+    assert mismatches == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
