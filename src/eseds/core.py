@@ -2,11 +2,12 @@
 
 The server holds an array of opaque cells whose decryptions are always a
 cyclic rotation of the sorted multiset of inserted values.  The client keeps
-no state between operations; every operation rediscovers what it needs by
-fetching cells and decrypting them locally.  Binary-search probes read one
-cell per request; top-k and the read-back of a search result read each run
-of consecutive cells with one GET_RANGE.  A run arrives as one block of
-bytes, and a cell is sliced out of it only when it is decrypted.
+no state between operations, and each operation is a generator of requests
+that does no I/O itself (the sans-I/O shape): it yields one GetRange,
+Length or InsertAt per frame and is sent back the reply's payload, that is
+the cells' bytes, the count or None.  One driver, _run, sends each request
+through ``session.request`` and checks its reply, so the public operations
+are thin wrappers, and a generator can be answered from a list of cells.
 
 Every order comparison happens in one reading frame (s, A), found by
 _frame: read cyclically from index s, the cells are sorted under
@@ -14,24 +15,24 @@ g(x) = (x - A) mod N.  With r = Dec(C[0]) the frame is s = 0, A = r unless
 the run of r-cells wraps past the end of the array (C[n-1] = r).  Then
 A = r + 1, so that r sorts last, and s is the first index that does not
 hold r: 1 when C[1] != r, otherwise (a deep wrap) the client reads the
-store in ranged runs of READ_RUN cells, keeps them as one block and finds
-s locally.  That takes O(log n) decrypts while the run of r holds at most
-about 2/3 of the cells, so that _off_run's gallop lands in the other
-values' block; past that, _frame decrypts the block from index 2 one cell
-at a time until the run ends, up to n decrypts.  Search bisects g over
-reading positions, insert bisects them for its slot, and top-k starts
-from the rotation the frame gives.  Search and insert are O(log n) probes
-except on a deep wrap: a deep-wrap search still filters every cell with
-one-cell reads, and every insert reads the whole store in ranges.  On
-distinct values no run wraps.
+store in runs of READ_RUN cells and finds s locally.  That takes O(log n)
+decrypts while the run of r holds at most about 2/3 of the cells, and up
+to n past that.  Search, insert and top-k bisect g over reading positions,
+with O(log n) probes except on a deep wrap: a deep-wrap search still
+filters every cell with one-cell reads, and every insert reads the whole
+store in ranges.  On distinct values no run wraps.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
+from . import transport
 from .cipher import CELL_LEN, SecretKey, decrypt, encrypt
+from .transport import Cells, GetRange, InsertAt, Len, Length, Ok, TransportError, _unexpected
 
 
 class ProtocolError(Exception):
@@ -102,48 +103,71 @@ def in_cyclic_range(v: int, a: int, b: int, dom: Domain) -> bool:
 #: bound the size of each frame
 READ_RUN = 4096
 
+_REPLIES = {GetRange: Cells, Length: Len, InsertAt: Ok}  # the reply each request must get
+
+
+def _run(session, op):
+    """Run the request generator ``op`` over ``session`` and return what it
+    returns.  An ERROR reply raises ServerError, and any other reply that
+    does not answer its request TransportError."""
+    request, payload = session.request, None
+    try:
+        while True:
+            msg = op.send(payload)
+            resp, want = request(msg), _REPLIES[type(msg)]
+            if type(resp) is not want:
+                raise _unexpected(resp, want)
+            payload = resp.data if want is Cells else resp.count if want is Len else None
+            if want is Cells and (resp.width != CELL_LEN or len(payload) != msg.count * CELL_LEN):
+                raise TransportError(f"asked for {msg.count} cells of {CELL_LEN} bytes, "
+                                     f"got {len(payload)} bytes of {resp.width}-byte cells")
+    except StopIteration as stop:
+        return stop.value
+
+
+def _read(start: int, count: int, n: int, run: int = 0):
+    """``count`` cells read cyclically from ``start`` of an ``n``-cell store,
+    ``run`` per GET_RANGE, or as many as the frame cap allows."""
+    run, parts = run or max(1, (transport.MAX_FRAME - 5) // CELL_LEN), []
+    for off in range(0, count, run):
+        parts.append((yield GetRange((start + off) % n, min(run, count - off))))
+    return b"".join(parts)
+
 
 class _OpView:
-    """Per-operation cell reader.  ``value`` caches each probed index, so a
-    distinct index costs one one-cell GET_RANGE; ``values`` reads a run of
-    cells with one GET_RANGE per frame and caches nothing.  After
-    ``read_all`` the view is local: it holds every cell's bytes as one
-    block of n * CELL_LEN bytes, and both slice a cell out of it only to
-    decrypt it, without sending a request."""
+    """Per-operation cell reader, whose reads are generators.  ``value``
+    caches each probed index, so a distinct index costs one one-cell
+    GET_RANGE; ``values`` reads a run of cells with one GET_RANGE per frame
+    and caches nothing.  After ``read_all`` the view is local: it holds the
+    n cells' bytes as one block, and both slice a cell out of it only to
+    decrypt it, without yielding a request.  No session is involved."""
 
-    def __init__(self, key: SecretKey, session, dom: Domain):
-        self._key = key
-        self._session = session
-        self._dom = dom
+    def __init__(self, key: SecretKey, dom: Domain):
+        self._key, self._dom = key, dom
         self._values: dict[int, int] = {}
         self._block: bytes | None = None
 
-    def read_all(self, n: int) -> None:
+    def read_all(self, n: int):
         """Fetch all ``n`` cells in index order, READ_RUN cells per GET_RANGE."""
-        block = b"".join(
-            self._session.get_range(start, min(READ_RUN, n - start), n, CELL_LEN)
-            for start in range(0, n, READ_RUN)
-        )
-        if len(block) != n * CELL_LEN:
-            raise ProtocolError(f"read {len(block)} bytes from a store of {n} cells")
-        self._block = block
+        self._block = yield from _read(0, n, n, READ_RUN)
 
-    def value(self, j: int) -> int:
+    def value(self, j: int):
         v = self._values.get(j)
         if v is None:
             block = self._block
             if block is None:
-                cell = self._session.get_cell(j, CELL_LEN)
+                cell = yield GetRange(j, 1)
             else:
                 cell = block[j * CELL_LEN : (j + 1) * CELL_LEN]
-            v = self._values[j] = self._decrypt(j, cell)
+            v = self._values[j] = decrypt(self._key, cell)
+            if v >= self._dom.size:
+                raise ProtocolError(f"cell {j} decrypts outside the domain")
         return v
 
-    def values(self, start: int, count: int, n: int) -> list[int]:
-        """Values of ``count`` cells read cyclically from ``start`` of an
-        ``n``-cell store."""
+    def values(self, start: int, count: int, n: int):
+        """Values of ``count`` cells read cyclically from ``start`` of ``n`` cells."""
         if self._block is None:
-            block, first = self._session.get_range(start, count, n, CELL_LEN), 0
+            block, first = (yield from _read(start, count, n)), 0
         else:
             block, first = self._block, start
         key, size = self._key, self._dom.size
@@ -156,12 +180,6 @@ class _OpView:
             out.append(v)
         return out
 
-    def _decrypt(self, j: int, cell: bytes) -> int:
-        v = decrypt(self._key, cell)
-        if v >= self._dom.size:
-            raise ProtocolError(f"cell {j} decrypts outside the domain")
-        return v
-
 
 def _check_plaintext(m: int, dom: Domain, what: str) -> None:
     if not 0 <= m < dom.size:
@@ -173,72 +191,69 @@ def _check_plaintext(m: int, dom: Domain, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _first_at_least(keyf, lo: int, hi: int, target: int) -> int:
-    """The first of lo..hi-1 whose key is at least target, or hi; keys ascend."""
+def _first_at_least(keyf, lo: int, hi: int, target: int):
+    """The first of lo..hi-1 whose key is at least target, or hi; keys
+    ascend, and ``keyf`` is a generator function."""
     while lo < hi:
         mid = (lo + hi) // 2
-        if keyf(mid) < target:
+        if (yield from keyf(mid)) < target:
             lo = mid + 1
         else:
             hi = mid
     return lo
 
 
-def _off_run(view: _OpView, n: int, r: int) -> int | None:
-    """An index whose cell does not hold r, when C[0] = C[1] = C[n-1] = r,
-    galloping from both ends: probes 2, 4, 8, ... and n-2, n-3, n-5, n-9, ...
-    The non-r cells form one block strictly inside the array, and one of
-    the probes lands in it whenever r holds less than about 2/3 of the
-    cells; None when none does."""
-    d = 1
-    while d < n:
-        for x in (d, n - 1 - d):
-            if 1 < x < n - 1 and view.value(x) != r:
-                return x
-        d *= 2
-    return None
-
-
-def _frame(view: _OpView, n: int, N: int) -> tuple[int, int]:
+def _frame(view: _OpView, n: int, N: int):
     """(s, A): read cyclically from index s, the cells are sorted under
     g(x) = (x - A) mod N.  Cells 0..s-1 all hold r = Dec(C[0]), and g puts
     r last when r's run wraps."""
-    r = view.value(0)
-    if n == 1 or view.value(n - 1) != r:
+    r = yield from view.value(0)
+    if n == 1 or (yield from view.value(n - 1)) != r:
         return 0, r
-    if view.value(1) != r:
+    if (yield from view.value(1)) != r:
         return 1, (r + 1) % N
-    # deep wrap: C[0] = C[1] = C[n-1] = r; read every cell, decrypt few
-    view.read_all(n)
-    x = _off_run(view, n, r)
-    if x is None:  # r holds most cells, or all of them (then any s works)
-        s = next((j for j in range(2, n - 1) if view.value(j) != r), 0)
-    else:
-        s = _first_at_least(lambda j: view.value(j) != r, 2, x, True)
-    return s, (r + 1) % N
+    # deep wrap: C[0] = C[1] = C[n-1] = r, and the other values form one
+    # block strictly inside.  Read every cell, find a cell of the block
+    # galloping from both ends (2, 4, 8, ... and n-2, n-3, n-5, n-9, ...),
+    # which lands in it with O(log n) decrypts whenever r holds less than
+    # about 2/3 of the cells, else one cell at a time from index 2, and
+    # bisect for the block's start.  When every cell holds r, any s works.
+    yield from view.read_all(n)
+
+    def off(j):
+        return (yield from view.value(j)) != r
+
+    gallop = [x for i in range(n.bit_length()) for x in (1 << i, n - 1 - (1 << i)) if 1 < x < n - 1]
+    for x in chain(gallop, range(2, n - 1)):
+        if (yield from off(x)):
+            return (yield from _first_at_least(off, 2, x, True)), (r + 1) % N
+    return 0, (r + 1) % N
 
 
-def _reading(view: _OpView, n: int, N: int, s: int, A: int):
+def _reading(view: _OpView, n: int, N: int, s: int, A: int, p: int):
     """g at reading position p of the frame (s, A): position p < n-s is
     index s+p; the s positions after those hold r, where g = N-1, so they
     need no probe."""
-    return lambda p: (view.value(s + p) - A) % N if p < n - s else N - 1
+    if p < n - s:
+        return ((yield from view.value(s + p)) - A) % N
+    return N - 1
 
 
-def _rotation(view: _OpView, n: int, dom: Domain) -> int:
+def _rotation(view: _OpView, n: int, dom: Domain):
     """Index of the first cell in sorted reading order: the first value
-    below A read from s, or s itself when there is none.  Each probe asks
-    whether a plaintext is below A, so A = 0, where none is, probes as a
-    store with its smallest value at s does."""
+    below A read from s, where g is at least N - A, or s itself when there
+    is none.  Each probe asks whether a plaintext is below A, so A = 0,
+    where none is, probes as a store with its smallest value at s does."""
     if n == 1:
         return 0
-    s, A = _frame(view, n, dom.size)
-    w = _first_at_least(lambda j: view.value(j) < A, s, n, True)
-    return s if w == n else w
+    N = dom.size
+    s, A = yield from _frame(view, n, N)
+    p = yield from _first_at_least(partial(_reading, view, n, N, s, A), 0, n - s, N - A)
+    return s if p == n - s else s + p
 
 
 # ---------------------------------------------------------------------------
-# operations
+# operations: each runs its generator of requests through _run
 # ---------------------------------------------------------------------------
 
 
@@ -252,59 +267,67 @@ def insert(key: SecretKey, session, m: int, dom: Domain, coins: CoinSource | Non
     store lays the cell out (a dense array re-rotated by the server, or a
     sparse index between its neighbours) is the server's business.
     """
+    return _run(session, _insert(key, m, dom, coins))
+
+
+def _insert(key: SecretKey, m: int, dom: Domain, coins: CoinSource | None):
     _check_plaintext(m, dom, "plaintext")
     if coins is None:
         coins = CoinSource()
-    n = session.length()
+    n = yield Length()
     cell = encrypt(key, m, dom.size)
     if n == 0:
-        session.insert_at(0, cell)
+        yield InsertAt(0, cell)
         return 1
-    view = _OpView(key, session, dom)
-    N = dom.size
-    s, A = _frame(view, n, N)
-    g, gm = _reading(view, n, N, s, A), (m - A) % N
+    view, N = _OpView(key, dom), dom.size
+    s, A = yield from _frame(view, n, N)
+    gm = (m - A) % N
 
-    def before(p: int) -> bool:  # m goes before reading position p
-        v = g(p)
+    def before(p: int):  # m goes before reading position p
+        v = yield from _reading(view, n, N, s, A, p)
         return v > gm or (v == gm and not coins.bit())
 
-    p = _first_at_least(before, 0, n, True)
-    session.insert_at(s + p if s + p <= n else s + p - n, cell)
+    p = yield from _first_at_least(before, 0, n, True)
+    yield InsertAt(s + p if s + p <= n else s + p - n, cell)
     return n + 1
 
 
 def search_range(key: SecretKey, session, q: RangeQuery, dom: Domain) -> RangeResult:
     """Indices of all cells whose value lies in the cyclic interval [a, b]."""
+    return _run(session, _search_range(key, q, dom))
+
+
+def _search_range(key: SecretKey, q: RangeQuery, dom: Domain):
     _check_plaintext(q.a, dom, "range start")
     _check_plaintext(q.b, dom, "range end")
-    n = session.length()
+    n = yield Length()
     if n == 0:
         return RangeResult(())
-    view = _OpView(key, session, dom)
-    a, b = q.a, q.b
-    r = view.value(0)
-    if n > 1 and view.value(n - 1) == r == view.value(1):  # deep wrap
-        segments = _segments_scan(view, n, dom, a, b)
+    view, a, b = _OpView(key, dom), q.a, q.b
+    r = yield from view.value(0)
+    if n > 1 and (yield from view.value(n - 1)) == r == (yield from view.value(1)):  # deep wrap
+        segments = yield from _segments_scan(view, n, dom, a, b)
     else:
-        segments = _segments(view, n, dom.size, *_frame(view, n, dom.size), a, b)
-    for lo, hi in segments:
-        if not in_cyclic_range(view.value(lo), a, b, dom) or not in_cyclic_range(
-            view.value(hi), a, b, dom
-        ):
-            return RangeResult(())  # boundary cell outside the range: no match
+        s, A = yield from _frame(view, n, dom.size)
+        segments = yield from _segments(view, n, dom.size, s, A, a, b)
+    for j in chain(*segments):  # a boundary cell outside the range: no match
+        if not in_cyclic_range((yield from view.value(j)), a, b, dom):
+            return RangeResult(())
     return RangeResult(tuple(segments))
 
 
 def _segments(view, n, N, s, A, a, b):
     """Bisect g over indices s..n-1 (cells 0..s-1 hold r, the maximum), take
-    the one cyclic run of matches in reading order, split it at index n-1."""
+    the one cyclic run of matches in reading order, split it at index n-1.
+    Both bisections always run, and ga = 0 bisects as ga = N: the probes
+    show where the matches lie, not whether a = A or b + 1 = A."""
     ga, gb = (a - A) % N, (b - A) % N
+    g = partial(_reading, view, n, N, s, A)
+    first = yield from _first_at_least(g, 0, n - s, ga or N)
+    last = yield from _first_at_least(g, 0, n - s, gb + 1)
     # the s positions after n-s hold r, where g = N-1, so they match
     # exactly when gb = N-1
-    g = _reading(view, n, N, s, A)
-    first = _first_at_least(g, 0, n - s, ga)
-    last = n - 1 if gb == N - 1 else _first_at_least(g, 0, n - s, gb + 1) - 1
+    first, last = (first if ga else 0), (last - 1 if gb < N - 1 else n - 1)
     if ga <= gb:
         count = last - first + 1
     else:  # matches at both ends of the reading order: one run through its end
@@ -320,13 +343,13 @@ def _segments(view, n, N, s, A, a, b):
 
 def _segments_scan(view, n, dom, a, b):
     """Deep boundary wrap: filter every cell, read one cell per request."""
-    matches = [j for j in range(n) if in_cyclic_range(view.value(j), a, b, dom)]
     runs: list[list[int]] = []
-    for j in matches:
-        if runs and runs[-1][1] == j - 1:
-            runs[-1][1] = j
-        else:
-            runs.append([j, j])
+    for j in range(n):
+        if in_cyclic_range((yield from view.value(j)), a, b, dom):
+            if runs and runs[-1][1] == j - 1:
+                runs[-1][1] = j
+            else:
+                runs.append([j, j])
     if len(runs) > 2 or (len(runs) == 2 and (runs[0][0] != 0 or runs[1][1] != n - 1)):
         raise ProtocolError("cells are not a rotation of a sorted multiset")
     return [tuple(run) for run in runs]
@@ -336,11 +359,15 @@ def top_k(key: SecretKey, session, k: int, dom: Domain) -> list[int]:
     """The k smallest stored values, ascending: the rotation start plus one
     range read of k cells, or, when finding the start read the whole store,
     its k cells from there."""
-    n = session.length()
+    return _run(session, _top_k(key, k, dom))
+
+
+def _top_k(key: SecretKey, k: int, dom: Domain):
+    n = yield Length()
     if not 1 <= k <= n:
         raise ProtocolError(f"k must be in [1, {n}], got {k}")
-    view = _OpView(key, session, dom)
-    out = view.values(_rotation(view, n, dom), k, n)
+    view = _OpView(key, dom)
+    out = yield from view.values((yield from _rotation(view, n, dom)), k, n)
     if any(x > y for x, y in zip(out, out[1:])):
         raise ProtocolError("cells are not a rotation of a sorted multiset")
     return out
@@ -349,9 +376,13 @@ def top_k(key: SecretKey, session, k: int, dom: Domain) -> list[int]:
 def read_values(key: SecretKey, session, result: RangeResult, dom: Domain) -> list[tuple[int, int]]:
     """Fetch and decrypt every cell of a search result, as (index, value),
     with one range read per segment."""
-    view = _OpView(key, session, dom)
+    return _run(session, _read_values(key, result, dom))
+
+
+def _read_values(key: SecretKey, result: RangeResult, dom: Domain):
+    view = _OpView(key, dom)
     out = []
     for lo, hi in result.segments:
         # a segment never wraps, so hi + 1 serves as the store size
-        out += zip(range(lo, hi + 1), view.values(lo, hi - lo + 1, hi + 1))
+        out += zip(range(lo, hi + 1), (yield from view.values(lo, hi - lo + 1, hi + 1)))
     return out

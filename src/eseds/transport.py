@@ -359,9 +359,9 @@ def _unexpected(resp: Message, want: type) -> TransportError:
 
 
 class _SessionBase:
-    """The one request path and the typed helpers shared by both transports.
-    A transport supplies only ``_exchange``: one request frame in, one
-    response frame out."""
+    """The one request path, which ``core`` runs every operation through,
+    shared by both transports.  A transport supplies only ``_exchange``:
+    one request frame in, one response frame out."""
 
     stats: SessionStats
 
@@ -385,37 +385,6 @@ class _SessionBase:
         if type(resp) is not want:
             raise _unexpected(resp, want)
         return resp
-
-    def _cells(self, msg: GetRange, cell_len: int) -> bytes:
-        resp = self.request(msg)
-        if type(resp) is Cells and resp.width == cell_len and len(resp.data) == msg.count * cell_len:
-            return resp.data
-        if type(resp) is not Cells:
-            raise _unexpected(resp, Cells)
-        raise TransportError(
-            f"asked for {msg.count} cells of {cell_len} bytes, got {len(resp.data)} bytes "
-            f"of {resp.width}-byte cells"
-        )
-
-    def get_cell(self, j: int, cell_len: int) -> bytes:
-        """The ``cell_len`` bytes of cell ``j``."""
-        return self._cells(GetRange(j, 1), cell_len)
-
-    def get_range(self, start: int, count: int, n: int, cell_len: int) -> bytes:
-        """``count`` cells of ``cell_len`` bytes read cyclically from index
-        ``start`` of an ``n``-cell store, back to back, in as few GET_RANGE
-        requests as the frame cap allows."""
-        per = max(1, (MAX_FRAME - 5) // cell_len)
-        return b"".join(
-            self._cells(GetRange((start + off) % n, min(per, count - off)), cell_len)
-            for off in range(0, count, per)
-        )
-
-    def insert_at(self, l: int, cell: bytes) -> None:
-        self._expect(InsertAt(l, cell), Ok)
-
-    def length(self) -> int:
-        return self._expect(Length(), Len).count
 
     def rebalance(self, batch: int = 0) -> bool:
         resp = self._expect(RebalanceHint(batch), Ok)

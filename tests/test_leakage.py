@@ -2,10 +2,10 @@
 
 The "Security boundary" of docs/protocol.md states the leakage L of each
 operation on a store of distinct values, with w the index of the smallest
-value and h = Dec(C[0]):
+value: n, w and the positions of its answer.  That is
 
-- search [a, b] with read-back: n, w, the number of values below a, the
-  number of matches, whether a = h and whether b + 1 = h (mod N);
+- search [a, b] with read-back: n, w, the number of values below a and the
+  number of matches;
 - top-k: n, w and k;
 - insert of m: n, w and the slot it lands in, which the server reads in
   INSERT_AT anyway.
@@ -18,9 +18,9 @@ They must equal the frames the client sends to the real store, of either
 layout.  INSERT_AT is compared by its slot and the length of its cell,
 which is sealed under a fresh nonce.  An insert's bisection probes are a
 function of its result, whatever its predicate, so the simulator inserts
-whatever value lands in the given slot.  Small domains make a = h,
-b + 1 = h and an insert value already stored occur often, so each run
-checks that they did.  Slot 0, which only a tie with C[0] reaches, has a
+whatever value lands in the given slot.  Small domains make a = Dec(C[0]),
+b + 1 = Dec(C[0]) and an insert value already stored occur often, so each
+run checks that they did.  Slot 0, which only a tie with C[0] reaches, has a
 test of its own.
 """
 
@@ -73,17 +73,16 @@ def _simulated(key, n: int, w: int):
     return LocalSession(DenseStore(cells), wire_log=log), log, dom, 3 * (-w % n) + 2
 
 
-def simulate_search(key, n, w, below, matches, a_is_head, b_before_head) -> list:
-    session, log, dom, head = _simulated(key, n, w)
-    # a sits just below the value of rank `below`, or on h; b sits at the
-    # bottom of the gap under rank (below + matches) mod n, or just below h.
-    # Gap 0 runs from 3n through 1, so its bottom is 3n.  When a and b share
-    # a gap, no match puts a at or before b, and n matches put b before a.
+def simulate_search(key, n, w, below, matches) -> list:
+    session, log, dom, _ = _simulated(key, n, w)
+    # a sits just below the value of rank `below`; b sits at the bottom of
+    # the gap under rank (below + matches) mod n.  Gap 0 runs from 3n
+    # through 1, so its bottom is 3n.  When a and b share a gap, no match
+    # puts a at or before b, and n matches put b before a.
     if matches == 0:
-        a = b = head - 1 if b_before_head else 3 * (below % n or n)
+        a = b = 3 * (below % n or n)
     else:
-        a = head if a_is_head else 3 * below + 1
-        b = head - 1 if b_before_head else 3 * ((below + matches) % n or n)
+        a, b = 3 * below + 1, 3 * ((below + matches) % n or n)
     read_values(key, session, search_range(key, session, RangeQuery(a, b), dom), dom)
     return _requests(log)
 
@@ -125,7 +124,7 @@ def test_request_frames_equal_the_simulators(key, layout, domain_bits):
     dom = Domain.from_bits(domain_bits)
     rng = random.Random(f"leakage/{layout}/{domain_bits}")
     mismatches = []
-    seen = {"a = h": 0, "b + 1 = h": 0, "no match": 0, "all match": 0, "tie": 0}
+    seen = {"a = Dec(C[0])": 0, "b + 1 = Dec(C[0])": 0, "no match": 0, "all match": 0, "tie": 0}
     for _ in range(INSTANCES):
         n = rng.randrange(1, 65)
         session, store = insert_all(key, rng.sample(range(dom.size), n), dom, rng.getrandbits(64), layout)
@@ -137,16 +136,9 @@ def test_request_frames_equal_the_simulators(key, layout, domain_bits):
         for _ in range(SEARCHES):
             a, b = rng.randrange(dom.size), rng.randrange(dom.size)
             values, w = _snapshot(key, store)
-            leak = (
-                n,
-                w,
-                sum(v < a for v in values),
-                sum(in_cyclic_range(v, a, b, dom) for v in values),
-                a == values[0],
-                (b + 1) % dom.size == values[0],
-            )
-            seen["a = h"] += leak[4]
-            seen["b + 1 = h"] += leak[5]
+            leak = (n, w, sum(v < a for v in values), sum(in_cyclic_range(v, a, b, dom) for v in values))
+            seen["a = Dec(C[0])"] += a == values[0]
+            seen["b + 1 = Dec(C[0])"] += (b + 1) % dom.size == values[0]
             seen["no match"] += leak[3] == 0
             seen["all match"] += leak[3] == n
             log.clear()

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eseds import core
 from eseds import store as store_mod
 from eseds import transport
 from eseds.cipher import decrypt
@@ -448,26 +449,66 @@ class _FaultyStore(DenseStore):
         return b"".join(block[i : i + w - 1] for i in range(0, len(block), w))
 
 
+def _ask(msg):
+    """A request generator of the one message ``msg``; returns its reply's payload."""
+    return (yield msg)
+
+
 @pytest.mark.parametrize("fault", ["more", "fewer", "width"])
 def test_session_rejects_cells_replies_that_do_not_match_the_request(fault):
+    # core's driver checks every reply of the server
     session = LocalSession(StoreServer(_FaultyStore([bytes([i]) * 36 for i in range(4)], fault)))
     with pytest.raises(TransportError):
-        session.get_cell(1, 36)
+        core._run(session, _ask(GetRange(1, 1)))
     with pytest.raises(TransportError):
-        session.get_range(1, 3, 4, 36)
+        core._run(session, core._read(1, 3, 4))
+
+
+class _Answers:
+    """A session that answers every request with one fixed reply."""
+
+    def __init__(self, reply):
+        self.reply, self.sent = reply, []
+
+    def request(self, msg):
+        self.sent.append(msg)
+        return self.reply
+
+
+@pytest.mark.parametrize(
+    "request_, reply, error",
+    [
+        (GetRange(1, 2), Cells(35, b"c" * 70), TransportError),  # the wrong width
+        (GetRange(1, 2), Cells(36, b"c" * 36), TransportError),  # one cell short
+        (GetRange(1, 2), ErrorMsg(2, "rank 9 out of range"), ServerError),
+        (GetRange(1, 2), Len(2), TransportError),  # a Len where a Cells was due
+        (Length(), Cells(36, b""), TransportError),
+        (InsertAt(0, b"c" * 36), Len(1), TransportError),
+        (InsertAt(0, b"c" * 36), ErrorMsg(1, "cell of another width"), ServerError),
+    ],
+)
+def test_driver_raises_on_a_reply_that_does_not_answer_its_request(request_, reply, error):
+    session = _Answers(reply)
+    with pytest.raises(error) as exc:
+        core._run(session, _ask(request_))
+    assert type(exc.value) is error and session.sent == [request_]
+    if error is ServerError:
+        assert (exc.value.code, exc.value.message) == (reply.code, reply.message)
 
 
 def test_local_session_typed_helpers():
+    # the driver sends back each request's payload: the cells' bytes, the
+    # count, or None once INSERT_AT is answered Ok
     store = DecoupledStore(index_bits=16, rng=random.Random(4))
     session = LocalSession(store)
-    assert session.length() == 0
-    session.insert_at(0, b"zz")
+    assert core._run(session, _ask(Length())) == 0
+    assert core._run(session, _ask(InsertAt(0, b"z" * 36))) is None
     assert store.sparse_indices() == [1 << 15]
-    assert session.get_cell(0, 2) == b"zz"
-    assert session.length() == 1
+    assert core._run(session, _ask(GetRange(0, 1))) == b"z" * 36
+    assert core._run(session, _ask(Length())) == 1
     assert session.rebalance(0) is True
     with pytest.raises(ServerError) as exc:
-        session.get_cell(9, 2)
+        core._run(session, _ask(GetRange(9, 1)))
     assert exc.value.code == 2
     assert "out_of_range" in exc.value.category
 
@@ -475,15 +516,15 @@ def test_local_session_typed_helpers():
 def test_session_stats_count_fetches():
     store = DenseStore(rng=random.Random(5))
     session = LocalSession(store)
-    session.insert_at(0, b"a")
-    session.get_cell(0, 1)
-    session.get_cell(0, 1)
+    session.request(InsertAt(0, b"a"))
+    session.request(GetRange(0, 1))
+    session.request(GetRange(0, 1))
     assert session.stats.cells_fetched == 2
     assert session.stats.requests_sent == 3
     assert session.stats.bytes_on_wire > 0
-    session.insert_at(0, b"b")
-    session.insert_at(0, b"c")
-    assert bytes(sorted(session.get_range(1, 3, 3, 1))) == b"abc"
+    session.request(InsertAt(0, b"b"))
+    session.request(InsertAt(0, b"c"))
+    assert bytes(sorted(session.request(GetRange(1, 3)).data)) == b"abc"
     assert session.stats.cells_fetched == 5  # cells, not requests
     assert session.stats.requests_sent == 6
 
@@ -534,7 +575,7 @@ def test_tcp_matches_local(layout, key):
         got = search_range(key, remote, RangeQuery(2, 9), dom)
         want = search_range(key, local, RangeQuery(2, 9), dom)
         assert got == want
-        assert remote.length() == local.length() == 5
+        assert remote.request(Length()) == local.request(Length()) == Len(5)
         assert remote.stats == local.stats  # one request path counts both transports
 
 
@@ -543,9 +584,9 @@ def test_tcp_error_frames_surface_as_server_errors(tcp_server):
     host, port = server.server_address
     with TcpSession(host, port) as session:
         with pytest.raises(ServerError) as exc:
-            session.get_cell(99, 36)
+            core._run(session, _ask(GetRange(99, 1)))
         assert exc.value.code == 2
-        assert session.length() == 0  # connection still usable
+        assert session.request(Length()) == Len(0)  # connection still usable
 
 
 def test_tcp_get_range_errors_leave_the_connection_usable(tcp_server, monkeypatch):
@@ -559,23 +600,24 @@ def test_tcp_get_range_errors_leave_the_connection_usable(tcp_server, monkeypatc
         for start, count, code in [(3, 1, 2), (0, 0, 2), (0, 4, 2), (0, 3, 1)]:
             resp = session.request(GetRange(start, count))
             assert isinstance(resp, ErrorMsg) and resp.code == code, (start, count)
-            assert session.length() == 3  # connection still usable
+            assert session.request(Length()) == Len(3)  # connection still usable
         logical = store.logical_cells()
         assert session.request(GetRange(2, 2)) == Cells(36, logical[2] + logical[0])
-        assert session.get_range(1, 3, 3, 36) == b"".join(logical[1:] + logical[:1])  # split in two
+        want = b"".join(logical[1:] + logical[:1])
+        assert core._run(session, core._read(1, 3, 3)) == want  # split in two
         assert (session.stats.requests_sent, session.stats.cells_fetched) == (11, 5)
 
 
 def test_tcp_insert_of_another_width_leaves_the_connection_usable(tcp_server):
     server, store = tcp_server
     with TcpSession(*server.server_address) as session:
-        session.insert_at(0, b"a" * 36)
+        assert session.request(InsertAt(0, b"a" * 36)) == Ok()
         for cell in (b"b" * 35, b""):
             with pytest.raises(ServerError) as exc:
-                session.insert_at(1, cell)
+                core._run(session, _ask(InsertAt(1, cell)))
             assert exc.value.category == "bad_request"
-            assert session.length() == 1  # the next request is still answered
-        assert session.get_cell(0, 36) == b"a" * 36
+            assert session.request(Length()) == Len(1)  # the next request is still answered
+        assert session.request(GetRange(0, 1)) == Cells(36, b"a" * 36)
     assert store.logical_cells() == [b"a" * 36]
 
 
@@ -688,7 +730,7 @@ def test_tcp_server_drops_a_client_that_resets_before_its_reply_quietly():
         released.set()
         assert done.wait(5)
         with TcpSession(*server.server_address) as session:
-            assert session.length() == 4
+            assert session.request(Length()) == Len(4)
     assert errors == []
 
 
@@ -716,13 +758,13 @@ def _answering(reply: bytes):
 def test_tcp_session_rejects_a_response_over_the_cap():
     with _answering((MAX_FRAME + 1).to_bytes(4, "big")) as addr, TcpSession(*addr) as session:
         with pytest.raises(CodecError, match="exceeds"):
-            session.length()
+            session.request(Length())
 
 
 def test_tcp_session_reports_a_server_that_closes_mid_frame():
     with _answering(encode(Len(7))[:6]) as addr, TcpSession(*addr) as session:
         with pytest.raises(TransportError, match="mid-frame"):
-            session.length()
+            session.request(Length())
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +780,7 @@ def test_no_key_material_on_the_wire(key):
     for v in [5, 17, 5, 40]:
         insert(key, session, v, dom, coins=coins)
     search_range(key, session, RangeQuery(4, 20), dom)
-    session.length()
+    session.request(Length())
     assert log, "wire log should have captured frames"
     key_bytes = key.bytes
     for _, frame in log:
