@@ -15,12 +15,12 @@ g(x) = (x - A) mod N.  With r = Dec(C[0]) the frame is s = 0, A = r unless
 the run of r-cells wraps past the end of the array (C[n-1] = r).  Then
 A = r + 1, so that r sorts last, and s is the first index that does not
 hold r: 1 when C[1] != r, otherwise (a deep wrap) the client reads the
-store in runs of READ_RUN cells and finds s locally.  That takes O(log n)
+whole store and finds s locally: a search reads it one cell per request,
+top-k and insert in runs of READ_RUN cells.  Finding s takes O(log n)
 decrypts while the run of r holds at most about 2/3 of the cells, and up
-to n past that.  Search, insert and top-k bisect g over reading positions,
-with O(log n) probes except on a deep wrap: a deep-wrap search still
-filters every cell with one-cell reads, and every insert reads the whole
-store in ranges.  On distinct values no run wraps.
+to n past that.  Search, insert and top-k then bisect g over reading
+positions, with O(log n) probes, or O(log n) decrypts in the copy of a
+deeply wrapped store.  On distinct values no run wraps.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def in_cyclic_range(v: int, a: int, b: int, dom: Domain) -> bool:
     return (v - a) % dom.size <= (b - a) % dom.size
 
 
-#: cells per GET_RANGE when an operation reads the whole store; the runs
-#: bound the size of each frame
+#: cells per GET_RANGE when top-k or insert reads the whole store; the
+#: runs bound the size of each frame
 READ_RUN = 4096
 
 _REPLIES = {GetRange: Cells, Length: Len, InsertAt: Ok}  # the reply each request must get
@@ -128,9 +128,9 @@ def _run(session, op):
 def _read(start: int, count: int, n: int, run: int = 0):
     """``count`` cells read cyclically from ``start`` of an ``n``-cell store,
     ``run`` per GET_RANGE, or as many as the frame cap allows."""
-    run, parts = run or max(1, (transport.MAX_FRAME - 5) // CELL_LEN), []
-    for off in range(0, count, run):
-        parts.append((yield GetRange((start + off) % n, min(run, count - off))))
+    run, parts, end = run or max(1, (transport.MAX_FRAME - 5) // CELL_LEN), [], start + count
+    for i in range(start, end, run):  # no min(): a deep-wrap search sends n requests
+        parts.append((yield GetRange(i % n, run if i + run <= end else end - i)))
     return b"".join(parts)
 
 
@@ -147,9 +147,9 @@ class _OpView:
         self._values: dict[int, int] = {}
         self._block: bytes | None = None
 
-    def read_all(self, n: int):
-        """Fetch all ``n`` cells in index order, READ_RUN cells per GET_RANGE."""
-        self._block = yield from _read(0, n, n, READ_RUN)
+    def read_all(self, n: int, run: int):
+        """Fetch all ``n`` cells in index order, ``run`` cells per GET_RANGE."""
+        self._block = yield from _read(0, n, n, run)
 
     def value(self, j: int):
         v = self._values.get(j)
@@ -203,10 +203,11 @@ def _first_at_least(keyf, lo: int, hi: int, target: int):
     return lo
 
 
-def _frame(view: _OpView, n: int, N: int):
+def _frame(view: _OpView, n: int, N: int, run: int):
     """(s, A): read cyclically from index s, the cells are sorted under
     g(x) = (x - A) mod N.  Cells 0..s-1 all hold r = Dec(C[0]), and g puts
-    r last when r's run wraps."""
+    r last when r's run wraps.  A deep wrap reads the store ``run`` cells
+    per GET_RANGE."""
     r = yield from view.value(0)
     if n == 1 or (yield from view.value(n - 1)) != r:
         return 0, r
@@ -218,7 +219,7 @@ def _frame(view: _OpView, n: int, N: int):
     # which lands in it with O(log n) decrypts whenever r holds less than
     # about 2/3 of the cells, else one cell at a time from index 2, and
     # bisect for the block's start.  When every cell holds r, any s works.
-    yield from view.read_all(n)
+    yield from view.read_all(n, run)
 
     def off(j):
         return (yield from view.value(j)) != r
@@ -247,7 +248,7 @@ def _rotation(view: _OpView, n: int, dom: Domain):
     if n == 1:
         return 0
     N = dom.size
-    s, A = yield from _frame(view, n, N)
+    s, A = yield from _frame(view, n, N, READ_RUN)
     p = yield from _first_at_least(partial(_reading, view, n, N, s, A), 0, n - s, N - A)
     return s if p == n - s else s + p
 
@@ -280,7 +281,7 @@ def _insert(key: SecretKey, m: int, dom: Domain, coins: CoinSource | None):
         yield InsertAt(0, cell)
         return 1
     view, N = _OpView(key, dom), dom.size
-    s, A = yield from _frame(view, n, N)
+    s, A = yield from _frame(view, n, N, READ_RUN)
     gm = (m - A) % N
 
     def before(p: int):  # m goes before reading position p
@@ -304,12 +305,9 @@ def _search_range(key: SecretKey, q: RangeQuery, dom: Domain):
     if n == 0:
         return RangeResult(())
     view, a, b = _OpView(key, dom), q.a, q.b
-    r = yield from view.value(0)
-    if n > 1 and (yield from view.value(n - 1)) == r == (yield from view.value(1)):  # deep wrap
-        segments = yield from _segments_scan(view, n, dom, a, b)
-    else:
-        s, A = yield from _frame(view, n, dom.size)
-        segments = yield from _segments(view, n, dom.size, s, A, a, b)
+    # a deep wrap reads every index with one-cell reads, as a scan would
+    s, A = yield from _frame(view, n, dom.size, 1)
+    segments = yield from _segments(view, n, dom.size, s, A, a, b)
     for j in chain(*segments):  # a boundary cell outside the range: no match
         if not in_cyclic_range((yield from view.value(j)), a, b, dom):
             return RangeResult(())
@@ -339,20 +337,6 @@ def _segments(view, n, N, s, A, a, b):
     lo = (s + first) % n
     hi = lo + count - 1
     return [(lo, hi)] if hi < n else [(0, hi - n), (lo, n - 1)]
-
-
-def _segments_scan(view, n, dom, a, b):
-    """Deep boundary wrap: filter every cell, read one cell per request."""
-    runs: list[list[int]] = []
-    for j in range(n):
-        if in_cyclic_range((yield from view.value(j)), a, b, dom):
-            if runs and runs[-1][1] == j - 1:
-                runs[-1][1] = j
-            else:
-                runs.append([j, j])
-    if len(runs) > 2 or (len(runs) == 2 and (runs[0][0] != 0 or runs[1][1] != n - 1)):
-        raise ProtocolError("cells are not a rotation of a sorted multiset")
-    return [tuple(run) for run in runs]
 
 
 def top_k(key: SecretKey, session, k: int, dom: Domain) -> list[int]:

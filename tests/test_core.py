@@ -189,7 +189,7 @@ def test_search_rejects_out_of_domain(key):
     "values",
     [
         [2, 2, 2],            # all equal
-        [3, 3, 5, 1, 3],      # wrap deeper than one cell: scan path
+        [3, 3, 5, 1, 3],      # wrap deeper than one cell: the frame reads the store
         [3, 7, 1, 3],         # wrap by one: frame s = 1, A = r + 1
         [1, 3, 3, 7],         # no wrap: frame s = 0, A = r
         [5],                  # singleton
@@ -229,6 +229,22 @@ def test_search_returns_empty_on_corrupt_store(key):
     # notice the inconsistent endpoints and return nothing
     session = direct_session(key, [4, 2, 9, 1], D16)
     assert search_range(key, session, RangeQuery(2, 2), D16).segments == ()
+
+
+def test_search_on_a_corrupt_deep_wrap_checks_its_segment_ends(key):
+    # C[0] = C[1] = C[n-1] = 1, but the cells are not a rotation of sorted:
+    # a search checks the ends of its segments, as on any store, so it
+    # raises or returns only segments whose ends lie in [a, b]
+    values = [1, 1, 5, 2, 1]
+    session = direct_session(key, values, D8)
+    for a in range(8):
+        for b in range(8):
+            try:
+                segments = search_range(key, session, RangeQuery(a, b), D8).segments
+            except ProtocolError:
+                continue
+            ends = [values[j] for segment in segments for j in segment]
+            assert all(in_cyclic(v, a, b, 8) for v in ends), (a, b, segments)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +459,20 @@ def test_deep_wrapped_top_k_reads_every_cell_in_ranged_runs(key):
     assert session.stats.cells_fetched == n + 3  # the three probes read again
 
 
+def test_deep_wrapped_search_reads_every_index_with_one_cell_reads(key):
+    # after LENGTH and the probes of C[0], C[n-1] and C[1], the frame reads
+    # the store from index 0 one cell per request, as a scan would, and
+    # both bisections run in that copy without sending anything
+    dom, ordered, w, session, log = _deep_wrapped_zipf(key)
+    n = len(ordered)
+    values = ordered[-w:] + ordered[:-w]
+    for a, b in ((0, 0), (1, 3), (5, 0)):
+        del log[:]
+        got = search_range(key, session, RangeQuery(a, b), dom).indices()
+        assert got == sorted(brute_match_indices(values, a, b, dom.size)), (a, b)
+        assert _requests(log) == [Length()] + [GetRange(j, 1) for j in [0, n - 1, 1, *range(n)]]
+
+
 def test_deep_wrapped_insert_reads_the_store_in_ranged_runs(key):
     # the frame sends LENGTH, C[0], C[n-1] and C[1], then reads the store
     # in ranged runs; the bisection decrypts locally, and INSERT_AT is last
@@ -525,7 +555,8 @@ def test_probe_indices_on_distinct_values_follow_a_reference_bisection(key):
 def test_deep_wrap_search_through_the_frame_equals_the_scan(key):
     # seeded Zipf stores, each rotated so that index 0 lands inside a run
     # of r (C[0] = C[1] = C[n-1] = r): bisecting _frame's reading frame
-    # finds the same segments as filtering every cell, for every query
+    # finds, in ascending index order, the cells that filtering every
+    # decrypted cell finds, for every query
     rng = random.Random(71)
     stores = 0
     for N in (2, 3, 4, 5, 8, 16, 32, 64):
@@ -538,15 +569,15 @@ def test_deep_wrap_search_through_the_frame_equals_the_scan(key):
             inside = [t for t in range(1, n - 1) if ordered[t - 1] == ordered[t] == ordered[t + 1]]
             for t in rng.sample(inside, min(5, len(inside))):
                 stores += 1
-                rotated = cells[t:] + cells[:t]
-                session, view = LocalSession(DenseStore(rotated)), core._OpView(key, dom)
-                frame = core._run(session, core._frame(view, n, N))
+                values = ordered[t:] + ordered[:t]
+                session = LocalSession(DenseStore(cells[t:] + cells[:t]))
+                view = core._OpView(key, dom)
+                frame = core._run(session, core._frame(view, n, N, 1))
                 for a in range(N):
                     for b in range(N):
-                        want = core._run(session, core._segments_scan(view, n, dom, a, b))
-                        assert core._run(session, core._segments(view, n, N, *frame, a, b)) == want, (
-                            ordered[t:] + ordered[:t], a, b,
-                        )
+                        got = core._run(session, core._segments(view, n, N, *frame, a, b))
+                        want = sorted(brute_match_indices(values, a, b, N))
+                        assert RangeResult(tuple(got)).indices() == want, (values, a, b)
     assert stores == 218
 
 
@@ -555,8 +586,8 @@ def test_deep_wrapped_top_k_decrypts_o_log_n_cells_while_the_run_holds_at_most_t
     key, monkeypatch, share
 ):
     # the run of r = Dec(C[0]) wraps with `front` cells at the front; while
-    # it holds at most about 2/3 of the store, _off_run's gallop lands in
-    # the other values' block, so the frame decrypts O(log n) cells
+    # it holds at most about 2/3 of the store, the frame's gallop lands in
+    # the other values' block, so top-k and a search decrypt O(log n) cells
     n, k, r = 1024, 10, 2000
     dom = Domain(1 << 12)
     others = random.Random(f"gallop/{share}").sample(
@@ -578,6 +609,13 @@ def test_deep_wrapped_top_k_decrypts_o_log_n_cells_while_the_run_holds_at_most_t
         session = LocalSession(DenseStore(cells[start:] + cells[:start]))
         assert top_k(key, session, k, dom) == ordered[:k]
         assert len(decrypts) <= 5 * math.ceil(math.log2(n)) + k, (share, front)
+        values = ordered[start:] + ordered[:start]
+        a = others[front % len(others)]
+        for b in (r, (r + 1) % dom.size, a):
+            del decrypts[:]
+            got = search_range(key, session, RangeQuery(a, b), dom).indices()
+            assert got == sorted(brute_match_indices(values, a, b, dom.size)), (share, front, a, b)
+            assert len(decrypts) <= 5 * math.ceil(math.log2(n)) + 4, (share, front, a, b)
 
 
 def test_deep_wrap_rejects_a_short_range_read(key):

@@ -33,8 +33,9 @@ READ_RUN = 64
 #: (sha256 of the request frames, sha256 of the per-op counts, requests,
 #: cells), recorded with insert bisecting in _frame's reading frame, so
 #: every insert reads C[0] and C[n-1] first and an insert into a deeply
-#: wrapped store reads it whole before its bisection; a change that keeps
-#: the traffic keeps these
+#: wrapped store reads it whole before its bisection, and with a deep-wrap
+#: search reading every index from 0 after its probes of C[0], C[n-1] and
+#: C[1]; a change that keeps the traffic keeps these
 PINNED = {
     "distinct-dense": (
         "b9f7a9c55451435e384dd981e4ea054a0db51649e252bdeec8a33d2c637ce66d",
@@ -43,10 +44,10 @@ PINNED = {
         682,
     ),
     "zipf-dense": (
-        "4fd3ff5cd99c4a80add48aec74ff60725ab9979162665ce75971ba7e19e9b5c5",
-        "48a93e1774cea7490811d135d319a0900ab67ab526e316fdcf716111118f699a",
-        7742,
-        13237,
+        "faf7155db732d24caa49ce855cf68151c5da325fc9f19c337105e1b356e684e5",
+        "8a8cdac46a2a205a49c6660b6376b8739314e0f19b2478022423469a22457d75",
+        7817,
+        13312,
     ),
     "decoupled": (
         "a3a1e2009778e39bcb0d8f0336702e73b694e83facf609dd99cd104164d16117",
