@@ -3,11 +3,15 @@
 The client is written from the document alone: it imports nothing from
 eseds, only ``socket`` and ``struct``, so a change to the codec that the
 document does not describe shows up here.  The server must hold an empty
-store.  On one connection the script checks that
+dense store and have a file to save it to.  On one connection the script
+checks that
 
 - LENGTH is answered by LEN 0;
-- INSERT_AT(0, a 36-byte cell) is answered by OK;
+- INSERT_AT(0, a 36-byte cell) is answered by OK with empty data;
 - GET_RANGE(0, 1) is answered by CELLS(36, that cell);
+- SAVE is answered by OK with empty data;
+- REBALANCE_HINT(0) is answered by ERROR wrong_mode, since the store is
+  dense;
 - a CELLS frame sent as a request is answered by ERROR bad_request, after
   which the server closes the connection.
 
@@ -19,9 +23,9 @@ import socket
 import struct
 import sys
 
-GET_RANGE, INSERT_AT, LENGTH = 0x01, 0x02, 0x04
+GET_RANGE, INSERT_AT, LENGTH, REBALANCE_HINT, SAVE = 0x01, 0x02, 0x04, 0x05, 0x06
 ERROR, CELLS, OK, LEN = 0x20, 0x21, 0x22, 0x23
-BAD_REQUEST = 1
+BAD_REQUEST, WRONG_MODE = 1, 3
 
 
 def frame(opcode: int, payload: bytes = b"") -> bytes:
@@ -51,6 +55,15 @@ def expect(what: str, got: bytes, want: bytes) -> None:
     print(f"ok  {what}")
 
 
+def expect_error(what: str, got: bytes, code: int) -> None:
+    """An ERROR frame with ``code`` and a UTF-8 message of any text."""
+    expect(what, got[4:7], struct.pack(">BH", ERROR, code))
+    try:
+        print(f"    message: {got[7:].decode()}")
+    except UnicodeDecodeError:
+        raise SystemExit(f"the ERROR message is not UTF-8: {got[7:].hex()}") from None
+
+
 def main(addr: str) -> None:
     host, _, port = addr.rpartition(":")
     cell = bytes(range(36))
@@ -66,12 +79,17 @@ def main(addr: str) -> None:
             exchange(sock, frame(GET_RANGE, struct.pack(">QQ", 0, 1))),
             frame(CELLS, struct.pack(">I", 36) + cell),
         )
-        resp = exchange(sock, frame(CELLS, struct.pack(">I", 36) + cell))
-        expect("CELLS as a request -> ERROR bad_request", resp[4:7], struct.pack(">BH", ERROR, BAD_REQUEST))
-        try:
-            print(f"    message: {resp[7:].decode()}")
-        except UnicodeDecodeError:
-            raise SystemExit(f"the ERROR message is not UTF-8: {resp[7:].hex()}") from None
+        expect("SAVE -> OK", exchange(sock, frame(SAVE)), frame(OK))
+        expect_error(
+            "REBALANCE_HINT(0) on a dense store -> ERROR wrong_mode",
+            exchange(sock, frame(REBALANCE_HINT, struct.pack(">Q", 0))),
+            WRONG_MODE,
+        )
+        expect_error(
+            "CELLS as a request -> ERROR bad_request",
+            exchange(sock, frame(CELLS, struct.pack(">I", 36) + cell)),
+            BAD_REQUEST,
+        )
         if sock.recv(1):
             raise SystemExit("the server kept the connection open after a codec error")
         print("ok  the server closed the connection")

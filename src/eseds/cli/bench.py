@@ -2,7 +2,8 @@
 
 Stores are bulk-built (encrypt sorted values, apply one random rotation)
 so setup stays out of the timed path, and plaintexts are sampled without
-replacement so searches never hit the duplicate-heavy scan fallbacks.
+replacement, so every search stays off the deep-wrap path, where a search
+reads every cell.
 Timings report mean and 95% confidence interval over the post-warmup
 repetitions; round-trip counts come from the session counters and are
 seed-reproducible even though wall-clock times are not.  A plaintext

@@ -4,10 +4,10 @@ The server holds an array of opaque cells whose decryptions are always a
 cyclic rotation of the sorted multiset of inserted values.  The client keeps
 no state between operations, and each operation is a generator of requests
 that does no I/O itself (the sans-I/O shape): it yields one GetRange,
-Length or InsertAt per frame and is sent back the reply's payload, that is
-the cells' bytes, the count or None.  One driver, _run, sends each request
-through ``session.request`` and checks its reply, so the public operations
-are thin wrappers, and a generator can be answered from a list of cells.
+Length or InsertAt per frame and is sent back the reply's payload (cells,
+count, or OK data), so a list of cells can answer it.  One driver, _run,
+sends each request through ``session.request``: ``transport.answer``
+checks each reply against the protocol, and _run only the cells' width.
 
 Every order comparison happens in one reading frame (s, A), found by
 _frame: read cyclically from index s, the cells are sorted under
@@ -32,7 +32,7 @@ from itertools import chain
 
 from . import transport
 from .cipher import CELL_LEN, SecretKey, decrypt, encrypt
-from .transport import Cells, GetRange, InsertAt, Len, Length, Ok, TransportError, _unexpected
+from .transport import Cells, GetRange, InsertAt, Length, TransportError, answer
 
 
 class ProtocolError(Exception):
@@ -103,24 +103,18 @@ def in_cyclic_range(v: int, a: int, b: int, dom: Domain) -> bool:
 #: runs bound the size of each frame
 READ_RUN = 4096
 
-_REPLIES = {GetRange: Cells, Length: Len, InsertAt: Ok}  # the reply each request must get
-
 
 def _run(session, op):
     """Run the request generator ``op`` over ``session`` and return what it
-    returns.  An ERROR reply raises ServerError, and any other reply that
-    does not answer its request TransportError."""
+    returns.  ``transport.answer`` checks each reply against the protocol's
+    request table; the driver adds that cells are CELL_LEN bytes wide."""
     request, payload = session.request, None
     try:
         while True:
             msg = op.send(payload)
-            resp, want = request(msg), _REPLIES[type(msg)]
-            if type(resp) is not want:
-                raise _unexpected(resp, want)
-            payload = resp.data if want is Cells else resp.count if want is Len else None
-            if want is Cells and (resp.width != CELL_LEN or len(payload) != msg.count * CELL_LEN):
-                raise TransportError(f"asked for {msg.count} cells of {CELL_LEN} bytes, "
-                                     f"got {len(payload)} bytes of {resp.width}-byte cells")
+            payload = answer(msg, resp := request(msg))
+            if type(resp) is Cells and resp.width != CELL_LEN:
+                raise TransportError(f"asked for cells of {CELL_LEN} bytes, got cells of {resp.width}")
     except StopIteration as stop:
         return stop.value
 

@@ -263,6 +263,35 @@ def _malformed(frame: bytes) -> CodecError:
     return CodecError("trailing bytes in frame")
 
 
+#: The one request table: each request's reply type and, for an OK, the data
+#: it may carry; a CELLS holds the ``count`` cells asked for (docs/protocol.md).
+ANSWERS: dict[type, tuple[type, frozenset[bytes] | None]] = {
+    GetRange: (Cells, None),
+    InsertAt: (Ok, frozenset({b""})),
+    Length: (Len, None),
+    RebalanceHint: (Ok, frozenset({b"\x00", b"\x01"})),
+    Save: (Ok, frozenset({b""})),
+}
+
+
+def answer(msg: Message, resp: Message):
+    """The payload of ``resp``, the reply to the request ``msg``: the cells'
+    bytes, the count or the OK's data.  An ERROR raises ServerError, and any
+    other reply that breaks ``msg``'s row of ANSWERS raises TransportError."""
+    (want, oks), kind = ANSWERS[type(msg)], type(resp)
+    if kind is Cells is want:
+        if len(resp.data) == msg.count * resp.width:
+            return resp.data
+        raise TransportError(f"asked for {msg.count} cells, got {len(resp.data) // resp.width}")
+    if kind is Len is want:
+        return resp.count
+    if kind is Ok is want and resp.data in oks:
+        return resp.data
+    if kind is ErrorMsg:
+        raise ServerError(resp.code, resp.message)
+    raise TransportError(f"{msg!r:.40} answered by {resp!r:.80}")
+
+
 # ---------------------------------------------------------------------------
 # server side
 # ---------------------------------------------------------------------------
@@ -350,18 +379,10 @@ class SessionStats:
     bytes_on_wire: int = 0
 
 
-def _unexpected(resp: Message, want: type) -> TransportError:
-    """The error to raise for ``resp`` where a ``want`` was expected: the
-    server's error, or a TransportError naming the type that came."""
-    if type(resp) is ErrorMsg:
-        return ServerError(resp.code, resp.message)
-    return TransportError(f"expected {want.__name__}, got {type(resp).__name__}")
-
-
 class _SessionBase:
-    """The one request path, which ``core`` runs every operation through,
-    shared by both transports.  A transport supplies only ``_exchange``:
-    one request frame in, one response frame out."""
+    """The one request path, shared by both transports: ``request`` sends a
+    message and returns the raw reply, which ``answer`` checks.  A transport
+    supplies only ``_exchange``: one request frame in, one response out."""
 
     stats: SessionStats
 
@@ -380,41 +401,28 @@ class _SessionBase:
             stats.cells_fetched += len(resp.data) // resp.width
         return resp
 
-    def _expect(self, msg: Message, want: type) -> Message:
-        resp = self.request(msg)
-        if type(resp) is not want:
-            raise _unexpected(resp, want)
-        return resp
-
     def rebalance(self, batch: int = 0) -> bool:
-        resp = self._expect(RebalanceHint(batch), Ok)
-        return bool(resp.data and resp.data[0])
+        return answer(msg := RebalanceHint(batch), self.request(msg)) == b"\x01"
 
     def save(self) -> None:
-        self._expect(Save(), Ok)
+        answer(msg := Save(), self.request(msg))
 
 
 class LocalSession(_SessionBase):
     """In-process transport that still runs the full codec both ways, so a
     sequence of operations exercises exactly the bytes TCP would carry."""
 
-    def __init__(self, store_or_server, *, wire_log: list | None = None):
-        if isinstance(store_or_server, StoreServer):
-            self._server = store_or_server
-        else:
-            self._server = StoreServer(store_or_server)
+    def __init__(self, store_or_server):
+        server = store_or_server
+        self._server = server if isinstance(server, StoreServer) else StoreServer(server)
         self.stats = SessionStats()
-        self.wire_log = wire_log
 
     @property
     def store(self):
         return self._server.store
 
     def _exchange(self, frame: bytes) -> bytes:
-        resp = encode(self._server.handle(decode(frame)))
-        if self.wire_log is not None:
-            self.wire_log.extend((("send", frame), ("recv", resp)))
-        return resp
+        return encode(self._server.handle(decode(frame)))
 
 
 class TcpSession(_SessionBase):
@@ -469,9 +477,6 @@ def read_frame(sock: socket.socket) -> bytes | None:
 # ---------------------------------------------------------------------------
 
 
-_REQUESTS = (GetRange, InsertAt, Length, RebalanceHint, Save)
-
-
 class _ConnectionHandler(socketserver.BaseRequestHandler):
     def handle(self):
         sock = self.request
@@ -483,7 +488,7 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
                     if frame is None:
                         return
                     msg = decode(frame)
-                    if not isinstance(msg, _REQUESTS):
+                    if type(msg) not in ANSWERS:
                         raise CodecError(f"{type(msg).__name__} is not a request")
                 except CodecError as e:
                     # fail-safe: report, then drop the connection; store untouched

@@ -4,6 +4,8 @@ Everything in this file is deliberately brute force and written from first
 principles (linear scans, enumerating rotations or permutations, exact
 rationals).  None of it calls into the package's own search, attack, or
 assignment logic, so tests compare two independent routes to each answer.
+``RecordingSession`` is the one exception: it only records the frames a
+``LocalSession`` exchanges, for tests that compare them.
 """
 
 from __future__ import annotations
@@ -11,6 +13,22 @@ from __future__ import annotations
 import itertools
 import struct
 from fractions import Fraction
+
+from eseds.transport import LocalSession
+
+
+class RecordingSession(LocalSession):
+    """A LocalSession that appends each frame it exchanges to ``log``, as
+    ("send", request frame) then ("recv", response frame)."""
+
+    def __init__(self, store_or_server, log: list | None = None):
+        super().__init__(store_or_server)
+        self.log = [] if log is None else log
+
+    def _exchange(self, frame: bytes) -> bytes:
+        resp = super()._exchange(frame)
+        self.log += (("send", frame), ("recv", resp))
+        return resp
 
 
 def in_cyclic(v: int, a: int, b: int, modulus: int) -> bool:

@@ -24,6 +24,7 @@ from eseds.store import DenseStore
 from eseds.transport import Cells, GetRange, InsertAt, Length, LocalSession, Ok, ServerError, TransportError, decode
 
 from helpers import (
+    RecordingSession,
     bisection_probes,
     brute_match_indices,
     chi_square_uniform_p,
@@ -314,7 +315,7 @@ def test_top_k_reads_its_cells_with_one_range_request(key):
     values = random.Random(12).sample(range(dom.size), 200)
     cells = [encrypt(key, v, dom.size) for v in sorted(values)]
     log = []
-    session = LocalSession(DenseStore(cells[150:] + cells[:150]), wire_log=log)
+    session = RecordingSession(DenseStore(cells[150:] + cells[:150]), log)
     assert top_k(key, session, 80, dom) == sorted(values)[:80]
     sent = _requests(log)
     assert sent[0] == Length()
@@ -328,7 +329,7 @@ def test_read_values_sends_one_request_per_segment(key):
     dom = Domain(64)
     values = list(range(0, 64, 2))
     log = []
-    session = LocalSession(direct_store(key, values[5:] + values[:5], dom), wire_log=log)
+    session = RecordingSession(direct_store(key, values[5:] + values[:5], dom), log)
     result = search_range(key, session, RangeQuery(2, 12), dom)
     assert result.segments == ((0, 1), (28, 31))
     del log[:]
@@ -342,7 +343,7 @@ def test_top_k_splits_a_read_larger_than_one_frame(key, monkeypatch):
     values = random.Random(13).sample(range(dom.size), 30)
     cells = [encrypt(key, v, dom.size) for v in sorted(values)]
     log = []
-    session = LocalSession(DenseStore(cells[20:] + cells[:20]), wire_log=log)
+    session = RecordingSession(DenseStore(cells[20:] + cells[:20]), log)
     # room for 3 cells of 36 bytes per CELLS frame (opcode, width, cells)
     monkeypatch.setattr(transport, "MAX_FRAME", 5 + 3 * 36)
     assert top_k(key, session, 25, dom) == sorted(values)[:25]
@@ -368,7 +369,7 @@ class _ScriptedCoins:
         return self.script[i] if i < len(self.script) else 0
 
 
-class _SlotRecorder(LocalSession):
+class _SlotRecorder(RecordingSession):
     """Records the slot of each INSERT_AT and leaves the store as it was."""
 
     def request(self, msg):
@@ -444,7 +445,7 @@ def _deep_wrapped_zipf(key):
     w = len(ordered) - ordered.count(0) // 2
     cells = [encrypt(key, v, dom.size) for v in ordered]
     log = []
-    return dom, ordered, w, LocalSession(DenseStore(cells[-w:] + cells[:-w]), wire_log=log), log
+    return dom, ordered, w, RecordingSession(DenseStore(cells[-w:] + cells[:-w]), log), log
 
 
 def test_deep_wrapped_top_k_reads_every_cell_in_ranged_runs(key):
@@ -491,7 +492,7 @@ def test_deep_wrapped_insert_requests_do_not_depend_on_the_value(key):
     # the frame reads the whole store before the bisection starts, so r,
     # r + 1, r - 1 and a far value send the same requests before INSERT_AT
     dom, ordered, _, session, log = _deep_wrapped_zipf(key)
-    recorder = _SlotRecorder(session.store, wire_log=log)
+    recorder = _SlotRecorder(session.store, log)
     sent = []
     for m in (0, 1, 63, 40):
         del log[:]
@@ -507,7 +508,7 @@ def test_insert_bisects_on_when_the_leading_run_does_not_wrap(key):
     dom = Domain(128)
     values = [3, 3] + list(range(5, 67))
     log = []
-    session = LocalSession(direct_store(key, values, dom), wire_log=log)
+    session = RecordingSession(direct_store(key, values, dom), log)
     assert insert(key, session, 4, dom, coins=CoinSource(1)) == 65
     assert len(_requests(log)) <= math.ceil(math.log2(len(values) + 1)) + 4
     got = decrypt_all(key, session.store)
@@ -528,7 +529,7 @@ def test_probe_indices_on_distinct_values_follow_a_reference_bisection(key):
         w = rng.randrange(n)
         values = ordered[w:] + ordered[:w]
         log = []
-        session = LocalSession(direct_store(key, values, dom), wire_log=log)
+        session = RecordingSession(direct_store(key, values, dom), log)
         r = values[0]
         f = [(v - r) % N for v in values]
 

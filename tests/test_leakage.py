@@ -12,8 +12,8 @@ value: n, w and the positions of its answer.  That is
 
 For each operation the simulator gets only L.  It builds a dense store of
 the rank codes 3i + 2 (i < n) over a domain of 3n + 3, rotated so that
-the smallest sits at index w, runs the real client on it over
-``LocalSession`` with ``wire_log``, and returns the request frames.
+the smallest sits at index w, runs the real client on it over a
+``RecordingSession``, and returns the request frames.
 They must equal the frames the client sends to the real store, of either
 layout.  INSERT_AT is compared by its slot and the length of its cell,
 which is sealed under a fresh nonce.  An insert's bisection probes are a
@@ -42,9 +42,10 @@ from eseds.core import (
     top_k,
 )
 from eseds.store import DenseStore
-from eseds.transport import INSERT_AT, LocalSession
+from eseds.transport import INSERT_AT
 
-from instancelib import direct_session, insert_all
+from helpers import RecordingSession
+from instancelib import direct_store, insert_all
 
 INSTANCES = 40
 SEARCHES = 8  # per instance, then two top-k and one insert
@@ -70,7 +71,7 @@ def _simulated(key, n: int, w: int):
     dom = Domain(3 * n + 3)
     log: list = []
     cells = [encrypt(key, 3 * ((j - w) % n) + 2, dom.size) for j in range(n)]
-    return LocalSession(DenseStore(cells), wire_log=log), log, dom, 3 * (-w % n) + 2
+    return RecordingSession(DenseStore(cells), log), log, dom, 3 * (-w % n) + 2
 
 
 def simulate_search(key, n, w, below, matches) -> list:
@@ -127,11 +128,11 @@ def test_request_frames_equal_the_simulators(key, layout, domain_bits):
     seen = {"a = Dec(C[0])": 0, "b + 1 = Dec(C[0])": 0, "no match": 0, "all match": 0, "tie": 0}
     for _ in range(INSTANCES):
         n = rng.randrange(1, 65)
-        session, store = insert_all(key, rng.sample(range(dom.size), n), dom, rng.getrandbits(64), layout)
+        _, store = insert_all(key, rng.sample(range(dom.size), n), dom, rng.getrandbits(64), layout)
         if layout == "decoupled":
             store.rebalance()  # a full pass applies a fresh rotation
         log: list = []
-        session.wire_log = log
+        session = RecordingSession(store, log)
 
         for _ in range(SEARCHES):
             a, b = rng.randrange(dom.size), rng.randrange(dom.size)
@@ -172,12 +173,12 @@ def test_an_insert_before_c0_equals_the_simulators(key, layout):
     rng = random.Random(f"leakage/slot0/{layout}")
     mismatches = []
     for n in range(1, 33):
-        session, store = insert_all(key, rng.sample(range(dom.size), n), dom, rng.getrandbits(64), layout)
+        _, store = insert_all(key, rng.sample(range(dom.size), n), dom, rng.getrandbits(64), layout)
         if layout == "decoupled":
             store.rebalance()
         values, w = _snapshot(key, store)
         log: list = []
-        session.wire_log = log
+        session = RecordingSession(store, log)
         insert(key, session, values[0], dom, coins=_TiesFirst())
         if _slot(log) != 0 or _requests(log) != simulate_insert(key, n, w, 0):
             mismatches.append((n, values))
@@ -195,8 +196,7 @@ def test_top_k_frames_do_not_show_whether_c0_holds_the_domains_least_value(key, 
             frames = []
             for low in (0, 1):
                 log: list = []
-                session = direct_session(key, [low + (j - w) % n for j in range(n)], dom)
-                session.wire_log = log
+                session = RecordingSession(direct_store(key, [low + (j - w) % n for j in range(n)], dom), log)
                 top_k(key, session, k, dom)
                 frames.append(_requests(log))
             if frames != [simulate_top_k(key, n, w, k)] * 2:

@@ -5,7 +5,7 @@ frame and is sent back the reply's payload.  Here a plain list of cells
 answers it: a GetRange with the cells read cyclically, a Length with the
 list's length and an InsertAt by inserting into the list.  The requests it
 yields, once encoded, must equal the frames the same operation sends over
-``LocalSession(..., wire_log=...)`` to a dense store holding the same cells,
+a ``RecordingSession`` to a dense store holding the same cells,
 and it must return the same answer.  Every operation starts from the same
 store: one of distinct values, and one deeply wrapped.  An INSERT_AT is
 compared by its header and slot and by the length of its cell, which is
@@ -22,7 +22,9 @@ from eseds import core
 from eseds.cipher import encrypt
 from eseds.core import CoinSource, Domain, RangeQuery
 from eseds.store import DenseStore
-from eseds.transport import INSERT_AT, GetRange, InsertAt, Length, LocalSession, encode
+from eseds.transport import INSERT_AT, GetRange, InsertAt, Length, encode
+
+from helpers import RecordingSession
 
 N = 300
 OPS = 40
@@ -76,7 +78,7 @@ def test_generators_answered_from_a_list_send_the_sessions_frames(kind, key, mon
     kinds = set()
     for i in range(OPS):
         log: list = []
-        session = LocalSession(DenseStore(list(cells)), wire_log=log)
+        session = RecordingSession(DenseStore(list(cells)), log)
         op = rng.choice(("search", "topk", "insert"))
         seed = f"sans-io/{kind}/{i}"
         if op == "search":

@@ -1,7 +1,7 @@
 """The traffic of a seeded operation mix, pinned request frame for request frame.
 
 Each store below is driven by one seeded mix of search with read-back, top-k
-and insert over ``LocalSession(wire_log=...)``.  Every request frame the
+and insert over a ``RecordingSession``.  Every request frame the
 client sends is hashed in order; an INSERT_AT frame is reduced to its header
 and slot, because the cell it carries is sealed under a fresh nonce.  The
 per-operation request and cell counts are hashed alongside.  Responses carry
@@ -22,6 +22,8 @@ from eseds import core, transport
 from eseds.cipher import encrypt
 from eseds.core import CoinSource, Domain, RangeQuery
 from eseds.store import DecoupledStore, DenseStore
+
+from helpers import RecordingSession
 
 N = 300
 OPS = 40
@@ -86,7 +88,7 @@ def _traffic(kind: str, key) -> tuple[str, str, int, int]:
     rng = random.Random(f"traffic/{kind}")
     values, dom = _values(kind, rng)
     log: list = []
-    session = transport.LocalSession(_store(kind, key, values, dom, rng), wire_log=log)
+    session = RecordingSession(_store(kind, key, values, dom, rng), log)
     coins = CoinSource(f"traffic/{kind}/coins")
     stats = session.stats
     counts = []

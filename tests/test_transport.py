@@ -43,6 +43,8 @@ from eseds.transport import (
     serve,
 )
 
+from helpers import RecordingSession
+
 MESSAGES = [
     GetRange(0, 1),
     GetRange((1 << 64) - 2, (1 << 64) - 1),
@@ -485,6 +487,10 @@ class _Answers:
         (Length(), Cells(36, b""), TransportError),
         (InsertAt(0, b"c" * 36), Len(1), TransportError),
         (InsertAt(0, b"c" * 36), ErrorMsg(1, "cell of another width"), ServerError),
+        (InsertAt(0, b"c" * 36), Ok(b"\x00"), TransportError),  # an OK to INSERT_AT is empty
+        (InsertAt(0, b"c" * 36), Ok(b"\x01"), TransportError),
+        (Length(), Ok(), TransportError),
+        (Length(), ErrorMsg(6, "internal"), ServerError),
     ],
 )
 def test_driver_raises_on_a_reply_that_does_not_answer_its_request(request_, reply, error):
@@ -496,13 +502,75 @@ def test_driver_raises_on_a_reply_that_does_not_answer_its_request(request_, rep
         assert (exc.value.code, exc.value.message) == (reply.code, reply.message)
 
 
+#: the reply type that answers each request, as docs/protocol.md's
+#: "Responses" lists them
+_ANSWERED_BY = {GetRange: Cells, InsertAt: Ok, Length: Len, RebalanceHint: Ok, Save: Ok}
+_SENT = [GetRange(0, 2), InsertAt(0, b"c" * 36), Length(), RebalanceHint(3), Save()]
+
+
+def _broken_replies():
+    """Each request with each reply that breaks the protocol's rule for it,
+    and the error the client must raise."""
+    rows = []
+    for msg in _SENT:
+        name = type(msg).__name__
+        for reply in (Cells(36, b"c" * 72), Ok(), Len(2)):
+            if type(reply) is not _ANSWERED_BY[type(msg)]:
+                rows.append(pytest.param(msg, reply, TransportError, id=f"{name}-{type(reply).__name__}"))
+        rows.append(pytest.param(msg, ErrorMsg(4, "the store is full"), ServerError, id=f"{name}-ERROR"))
+    rows += [
+        pytest.param(GetRange(0, 2), Cells(36, b"c" * 36), TransportError, id="GetRange-one-cell-short"),
+        pytest.param(InsertAt(0, b"c" * 36), Ok(b"\x00"), TransportError, id="InsertAt-OK-with-data"),
+        pytest.param(Save(), Ok(b"\x00"), TransportError, id="Save-OK-with-data"),
+        pytest.param(RebalanceHint(3), Ok(), TransportError, id="RebalanceHint-OK-of-0-bytes"),
+        pytest.param(RebalanceHint(3), Ok(b"\x01\x01"), TransportError, id="RebalanceHint-OK-of-2-bytes"),
+        pytest.param(RebalanceHint(3), Ok(b"\x02"), TransportError, id="RebalanceHint-OK-of-byte-2"),
+    ]
+    return rows
+
+
+def _send(session, msg):
+    """Send ``msg`` as eseds does: REBALANCE_HINT and SAVE through the
+    session's own methods, every other request through core's driver."""
+    if type(msg) is RebalanceHint:
+        return session.rebalance(msg.batch)
+    if type(msg) is Save:
+        return session.save()
+    return core._run(session, _ask(msg))
+
+
+@pytest.mark.parametrize("over", ["local", "tcp"])
+@pytest.mark.parametrize("request_, reply, error", _broken_replies())
+def test_both_sessions_refuse_a_reply_that_breaks_the_rule_for_its_request(over, request_, reply, error, monkeypatch):
+    handled = []
+
+    def handle(msg):
+        handled.append(msg)
+        return reply
+
+    with contextlib.ExitStack() as stack:
+        if over == "local":
+            server = StoreServer(DenseStore())
+            session = LocalSession(server)
+        else:
+            tcp = stack.enter_context(_serving(DenseStore()))
+            server = tcp.store_server
+            session = stack.enter_context(TcpSession(*tcp.server_address))
+        monkeypatch.setattr(server, "handle", handle)
+        with pytest.raises(error) as exc:
+            _send(session, request_)
+    assert type(exc.value) is error and handled == [request_]
+    if error is ServerError:
+        assert (exc.value.code, exc.value.message) == (reply.code, reply.message)
+
+
 def test_local_session_typed_helpers():
     # the driver sends back each request's payload: the cells' bytes, the
-    # count, or None once INSERT_AT is answered Ok
+    # count, or the empty data of the OK that answers INSERT_AT
     store = DecoupledStore(index_bits=16, rng=random.Random(4))
     session = LocalSession(store)
     assert core._run(session, _ask(Length())) == 0
-    assert core._run(session, _ask(InsertAt(0, b"z" * 36))) is None
+    assert core._run(session, _ask(InsertAt(0, b"z" * 36))) == b""
     assert store.sparse_indices() == [1 << 15]
     assert core._run(session, _ask(GetRange(0, 1))) == b"z" * 36
     assert core._run(session, _ask(Length())) == 1
@@ -535,8 +603,8 @@ def test_session_stats_count_fetches():
 
 
 @contextlib.contextmanager
-def _serving(store):
-    server = serve(store, port=0)  # ephemeral port
+def _serving(store, save_path=None):
+    server = serve(store, port=0, save_path=save_path)  # ephemeral port
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -652,9 +720,10 @@ def test_tcp_rejects_garbage_bytes(tcp_server):
 RAW_CLIENT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "raw_client.py"
 
 
-def test_raw_client_script_speaks_the_documented_layout(tcp_server):
+def test_raw_client_script_speaks_the_documented_layout(tmp_path):
     # the script imports only socket, struct and sys, so it checks the
-    # served bytes against docs/protocol.md and not against this codec
+    # served bytes against docs/protocol.md and not against this codec;
+    # it sends SAVE, so the server has a file to save to
     imports = [
         alias.name
         for node in ast.walk(ast.parse(RAW_CLIENT.read_text()))
@@ -662,13 +731,14 @@ def test_raw_client_script_speaks_the_documented_layout(tcp_server):
         for alias in node.names
     ]
     assert sorted(imports) == ["socket", "struct", "sys"]
-    server, store = tcp_server
-    host, port = server.server_address
-    run = subprocess.run(
-        [sys.executable, str(RAW_CLIENT), f"{host}:{port}"], capture_output=True, text=True, timeout=60
-    )
+    store = DenseStore(rng=random.Random(6))
+    with _serving(store, save_path=tmp_path / "s.db") as server:
+        host, port = server.server_address
+        run = subprocess.run(
+            [sys.executable, str(RAW_CLIENT), f"{host}:{port}"], capture_output=True, text=True, timeout=60
+        )
     assert run.returncode == 0, run.stdout + run.stderr
-    assert store.logical_cells() == [bytes(range(36))]
+    assert store.logical_cells() == load_store(tmp_path / "s.db").logical_cells() == [bytes(range(36))]
 
 
 def test_tcp_sockets_send_without_delay():
@@ -775,7 +845,7 @@ def test_tcp_session_reports_a_server_that_closes_mid_frame():
 def test_no_key_material_on_the_wire(key):
     dom = Domain(64)
     log = []
-    session = LocalSession(DenseStore(rng=random.Random(8)), wire_log=log)
+    session = RecordingSession(DenseStore(rng=random.Random(8)), log)
     coins = CoinSource(3)
     for v in [5, 17, 5, 40]:
         insert(key, session, v, dom, coins=coins)
