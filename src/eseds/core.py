@@ -122,7 +122,8 @@ def _run(session, op):
 def _read(start: int, count: int, n: int, run: int = 0):
     """``count`` cells read cyclically from ``start`` of an ``n``-cell store,
     ``run`` per GET_RANGE, or as many as the frame cap allows."""
-    run, parts, end = run or max(1, (transport.MAX_FRAME - 5) // CELL_LEN), [], start + count
+    run = run or max(1, (transport.MAX_FRAME - transport.CELLS_OVERHEAD) // CELL_LEN)
+    parts, end = [], start + count
     for i in range(start, end, run):  # no min(): a deep-wrap search sends n requests
         parts.append((yield GetRange(i % n, run if i + run <= end else end - i)))
     return b"".join(parts)

@@ -155,6 +155,10 @@ LAYOUT: dict[int, tuple[type, struct.Struct, bool]] = {
 
 _HEAD = struct.Struct(">IB")  # length, opcode
 
+#: the bytes of a CELLS frame besides its cells and length prefix: the
+#: opcode and the width
+CELLS_OVERHEAD = 1 + LAYOUT[CELLS][1].size
+
 
 def _getter(names: list[str]):
     """A function of a message that returns its ``names`` fields as a tuple
@@ -337,7 +341,7 @@ class StoreServer:
         kind = type(msg)
         if kind is GetRange:
             start, count = msg.start, msg.count
-            size = 5 + count * store.width  # opcode, width, cells
+            size = CELLS_OVERHEAD + count * store.width
             # refuse an answer over the cap before reading it; a range the
             # store would refuse is left to the store, so it stays out_of_range
             if size > MAX_FRAME and 0 <= start < len(store) and count <= len(store):
@@ -430,10 +434,14 @@ class TcpSession(_SessionBase):
 
     def __init__(self, host: str, port: int):
         self._sock = socket.create_connection((host, port))
-        _no_delay(self._sock)
+        # send each frame at once: Nagle's algorithm would hold a small frame
+        # back until the peer acknowledges the previous one
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._rfile = self._sock.makefile("rb")
         self.stats = SessionStats()
 
     def close(self) -> None:
+        self._rfile.close()
         self._sock.close()
 
     def __enter__(self):
@@ -444,32 +452,28 @@ class TcpSession(_SessionBase):
 
     def _exchange(self, frame: bytes) -> bytes:
         self._sock.sendall(frame)
-        resp = read_frame(self._sock)
+        resp = read_frame(self._rfile)
         if resp is None:
             raise TransportError("connection closed before the response")
         return resp
 
 
-def read_frame(sock: socket.socket) -> bytes | None:
-    """One whole frame from ``sock``, length prefix included, or None when
-    the peer closed cleanly between frames.  Raises CodecError on a declared
-    length over the cap, before reading the body, and TransportError when
-    the peer closes mid-frame."""
-    frame = bytearray()
-    want = 4
-    while len(frame) < want:
-        chunk = sock.recv(want - len(frame))
-        if not chunk:
-            if frame:
-                raise TransportError("connection closed mid-frame")
-            return None
-        frame += chunk
-        if want == 4 and len(frame) == 4:
-            length = int.from_bytes(frame, "big")
-            if length > MAX_FRAME:
-                raise CodecError(f"declared length {length} exceeds the 16 MiB cap")
-            want += length
-    return bytes(frame)
+def read_frame(rfile) -> bytes | None:
+    """One whole frame from the buffered socket file ``rfile``, length prefix
+    included, or None when the peer closed cleanly between frames.  Raises
+    CodecError on a declared length over the cap, before reading the body,
+    and TransportError when the peer closes mid-frame."""
+    head = rfile.read(4)
+    if not head:
+        return None
+    if len(head) == 4:
+        length = int.from_bytes(head, "big")
+        if length > MAX_FRAME:
+            raise CodecError(f"declared length {length} exceeds the 16 MiB cap")
+        body = rfile.read(length)
+        if len(body) == length:
+            return head + body
+    raise TransportError("connection closed mid-frame")
 
 
 # ---------------------------------------------------------------------------
@@ -477,14 +481,16 @@ def read_frame(sock: socket.socket) -> bytes | None:
 # ---------------------------------------------------------------------------
 
 
-class _ConnectionHandler(socketserver.BaseRequestHandler):
+class _ConnectionHandler(socketserver.StreamRequestHandler):
+    disable_nagle_algorithm = True  # send each reply at once
+
     def handle(self):
-        sock = self.request
+        sock, rfile = self.connection, self.rfile
         server: StoreServer = self.server.store_server  # type: ignore[attr-defined]
         try:
             while True:
                 try:
-                    frame = read_frame(sock)
+                    frame = read_frame(rfile)
                     if frame is None:
                         return
                     msg = decode(frame)
@@ -499,12 +505,6 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
             return
 
 
-def _no_delay(sock: socket.socket) -> None:
-    """Send each frame at once: Nagle's algorithm would hold a small frame
-    back until the peer acknowledges the previous one."""
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-
 class EsedsTcpServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
@@ -512,11 +512,6 @@ class EsedsTcpServer(socketserver.ThreadingTCPServer):
     def __init__(self, addr, store_server: StoreServer):
         super().__init__(addr, _ConnectionHandler)
         self.store_server = store_server
-
-    def get_request(self):
-        sock, addr = super().get_request()
-        _no_delay(sock)
-        return sock, addr
 
 
 def serve(store, host: str = "127.0.0.1", port: int = DEFAULT_PORT, *, save_path=None) -> EsedsTcpServer:

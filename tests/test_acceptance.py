@@ -211,7 +211,9 @@ def test_criterion_04_round_trip_bounds(capsys, log_n):
     )
 
 
-@pytest.mark.xfail(strict=True, reason="scan fallback on wrapped boundary runs")
+@pytest.mark.xfail(
+    strict=True, reason="a deep-wrap search reads all n cells, over criterion 4's cell budget of 2(log2 n + 3)"
+)
 @pytest.mark.parametrize("log_n", [10, 14])
 def test_round_trip_bounds_on_duplicate_heavy_data(log_n):
     # criterion 4's budgets on Zipf data over 64 values, with index 0 placed

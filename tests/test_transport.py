@@ -742,15 +742,20 @@ def test_raw_client_script_speaks_the_documented_layout(tmp_path):
 
 
 def test_tcp_sockets_send_without_delay():
-    server = serve(DenseStore(), port=0)  # not serving: accept by hand below
-    try:
+    served = []
+
+    class Recording(transport._ConnectionHandler):
+        def handle(self):
+            served.append(self.request)  # the accepted socket
+            super().handle()
+
+    with _serving(DenseStore()) as server:
+        server.RequestHandlerClass = Recording
         with TcpSession(*server.server_address) as session:
-            conn, _ = server.get_request()
-            with conn:
-                for sock in (session._sock, conn):
-                    assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
-    finally:
-        server.server_close()
+            assert session.request(Length()) == Len(0)  # the handler is serving
+            for sock in (session._sock, *served):
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    assert len(served) == 1
 
 
 def _read_until_closed(sock) -> bytes:
@@ -758,6 +763,30 @@ def _read_until_closed(sock) -> bytes:
     while chunk := sock.recv(1 << 16):
         chunks.append(chunk)
     return b"".join(chunks)
+
+
+def test_tcp_server_answers_back_to_back_requests_in_order(tcp_server):
+    # two frames in one segment: the second is read after the first is answered
+    server, store = tcp_server
+    store.insert_at(0, b"a" * 36)
+    with socket.create_connection(server.server_address, timeout=5) as sock:
+        sock.sendall(encode(GetRange(0, 1)) + encode(Length()))
+        sock.shutdown(socket.SHUT_WR)  # a clean close after the second frame
+        assert _read_until_closed(sock) == encode(Cells(36, b"a" * 36)) + encode(Len(1))
+
+
+def test_tcp_server_answers_a_request_sent_a_few_bytes_at_a_time(tcp_server):
+    server, store = tcp_server
+    store.insert_at(0, b"a" * 36)
+    store.insert_at(1, b"b" * 36)
+    frame = encode(GetRange(0, 2))
+    with socket.create_connection(server.server_address, timeout=5) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for at in range(0, len(frame), 3):
+            sock.sendall(frame[at : at + 3])
+            time.sleep(0.005)
+        sock.shutdown(socket.SHUT_WR)
+        assert _read_until_closed(sock) == encode(Cells(36, b"".join(store.logical_cells())))
 
 
 def test_tcp_server_refuses_a_declared_length_over_the_cap(tcp_server, monkeypatch):
@@ -831,8 +860,9 @@ def test_tcp_session_rejects_a_response_over_the_cap():
             session.request(Length())
 
 
-def test_tcp_session_reports_a_server_that_closes_mid_frame():
-    with _answering(encode(Len(7))[:6]) as addr, TcpSession(*addr) as session:
+@pytest.mark.parametrize("cut", [2, 6])  # inside the length prefix, inside the body
+def test_tcp_session_reports_a_server_that_closes_mid_frame(cut):
+    with _answering(encode(Len(7))[:cut]) as addr, TcpSession(*addr) as session:
         with pytest.raises(TransportError, match="mid-frame"):
             session.request(Length())
 
