@@ -39,6 +39,7 @@ from ..transport import (
     DEFAULT_PORT,
     LocalSession,
     ServerError,
+    StoreServer,
     TcpSession,
     TransportError,
     serve,
@@ -98,12 +99,15 @@ def read_keyfile(path: str) -> tuple[SecretKey, Domain]:
 
 def _parse_addr(addr: str) -> tuple[str, int]:
     """``host:port``, ``host`` or ``:port``; the host defaults to 127.0.0.1
-    and the port to DEFAULT_PORT."""
+    and the port to DEFAULT_PORT.  The server binds IPv4 only, so an IPv6
+    address, bracketed or not, is refused."""
     host, sep, port = addr.rpartition(":")
     if not sep:
-        return addr or "127.0.0.1", DEFAULT_PORT
+        host = addr
+    if ":" in host or "[" in host:
+        raise UserError(f"bad address {addr!r}: a host is a name or an IPv4 address")
     try:
-        return host or "127.0.0.1", int(port)
+        return host or "127.0.0.1", int(port) if sep else DEFAULT_PORT
     except ValueError as exc:
         raise UserError(f"bad address {addr!r}") from exc
 
@@ -124,49 +128,37 @@ def _store_lock(path: str):
 def open_session(args, writable: bool = False):
     """Session against --addr, or embedded against the --store file.
 
-    Embedded writable sessions hold the store's lock file from before the
-    load until after they save the store back on clean exit, so concurrent
-    writers run one after the other; remote ones ask the server to persist
-    instead.
+    A writable session persists on clean exit with one SAVE, which a server
+    answers the same way whether it runs in another process or in this one.
+    An embedded writer holds the store's lock file from before the load
+    until after that SAVE, so concurrent writers run one after the other.
+    A failed SAVE raises out of the block, so its command prints no result.
     """
-    if args.addr:
-        host, port = _parse_addr(args.addr)
-        with TcpSession(host, port) as session:
-            yield session
+    with contextlib.ExitStack() as stack:
+        if args.addr:
+            session = stack.enter_context(TcpSession(*_parse_addr(args.addr)))
+        else:
+            if not args.store:
+                raise UserError("--store is required without --addr")
+            if not os.path.exists(args.store):
+                raise UserError(f"store file {args.store} does not exist (run init first)")
             if writable:
-                session.save()
-    else:
-        if not args.store:
-            raise UserError("--store is required without --addr")
-        if not os.path.exists(args.store):
-            raise UserError(f"store file {args.store} does not exist (run init first)")
-        with _store_lock(args.store) if writable else contextlib.nullcontext():
-            store = store_mod.load(args.store)
-            yield LocalSession(store)
-            if writable:
-                store.save(args.store)
+                stack.enter_context(_store_lock(args.store))
+            session = LocalSession(StoreServer(store_mod.load(args.store), save_path=args.store))
+        yield session
+        if writable:
+            session.save()
 
 
-def _values_arg(raw: list[str]) -> list[int]:
-    out = []
-    for chunk in raw:
-        for part in chunk.split(","):
-            part = part.strip()
-            if part:
-                try:
-                    out.append(int(part))
-                except ValueError as exc:
-                    raise UserError(f"not an integer: {part!r}") from exc
-    if not out:
-        raise UserError("no values given")
-    return out
-
-
-def _csv_ints(raw: str) -> list[int]:
+def int_list(raw: str) -> list[int]:
+    """The comma-separated integers in ``raw``, at least one; empty parts are skipped."""
     try:
-        return [int(p) for p in raw.split(",") if p.strip()]
-    except ValueError as exc:
-        raise UserError(f"bad number list {raw!r}") from exc
+        values = [int(part) for part in raw.split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(f"not a list of integers: {raw!r}") from None
+    if not values:
+        raise ValueError(f"no integers in {raw!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +190,13 @@ def cmd_init(args) -> int:
 
 
 def cmd_insert(args) -> int:
-    values = _values_arg(args.values)
+    values = int_list(",".join(args.values))
     key, dom = read_keyfile(args.key or default_key_path(args.store))
     coins = CoinSource(args.seed)
     with open_session(args, writable=True) as session:
         for v in values:
             n = insert(key, session, v, dom, coins=coins)
-        print(f"length {n}")
+    print(f"length {n}")
     return 0
 
 
@@ -258,15 +250,15 @@ def cmd_rebalance(args) -> int:
             steps += 1
             if session.rebalance(args.batch):
                 break
-        print(f"rebalanced in {steps} hint(s)")
+    print(f"rebalanced in {steps} hint(s)")
     return 0
 
 
 def cmd_bench(args) -> int:
     cfg = BenchConfig(
-        db_sizes=_csv_ints(args.db_sizes),
-        range_sizes=_csv_ints(args.range_sizes),
-        k_values=_csv_ints(args.k_values),
+        db_sizes=args.db_sizes,
+        range_sizes=args.range_sizes,
+        k_values=args.k_values,
         repeats=args.repeats,
         warmup=args.warmup,
         seed=args.seed,
@@ -356,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=0, help="entries per hint (0 = whole pass)")
 
     p = command("bench", cmd_bench, "synthetic benchmarks on an embedded store", "--seed", "--out")
-    p.add_argument("--db-sizes", default="10000")
-    p.add_argument("--range-sizes", default="10")
-    p.add_argument("--k-values", default="10")
+    p.add_argument("--db-sizes", type=int_list, default="10000")
+    p.add_argument("--range-sizes", type=int_list, default="10")
+    p.add_argument("--k-values", type=int_list, default="10")
     p.add_argument("--repeats", type=int, default=30)
     p.add_argument("--warmup", type=int, default=10)
 

@@ -93,6 +93,9 @@ class CoinSource:
     def randrange(self, n: int) -> int:
         return self._rng.randrange(n)
 
+    def shuffle(self, items: list) -> None:
+        self._rng.shuffle(items)
+
 
 def in_cyclic_range(v: int, a: int, b: int, dom: Domain) -> bool:
     """Membership of v in the cyclic inclusive interval [a, b]."""

@@ -53,6 +53,10 @@ _BLOB_LEN = struct.Struct("<I")
 #: records joined into one write by ``write_records``, and read at once by ``load_file``
 RECORDS_PER_WRITE = 4096
 
+#: the most bytes ``load_file`` asks for in one read: a chunk's size comes
+#: from the first cell's declared width, which a corrupt file sets at will
+MAX_READ = 1 << 20
+
 CELL, SPARSE, NEXT = "cell", "sparse", "next"  # the fields of a record
 
 #: each mode's record fields in file order, and the width its cells must have
@@ -148,6 +152,16 @@ def _read_exact(src, n: int) -> bytes:
     return buf
 
 
+def _read_upto(src, n: int) -> bytes:
+    """The next ``n`` bytes of ``src``, read ``MAX_READ`` at most at a time;
+    fewer only where the file ends."""
+    parts = []
+    while n > 0 and (part := src.read(min(n, MAX_READ))):
+        parts.append(part)
+        n -= len(part)
+    return b"".join(parts)
+
+
 def _read_header(src) -> tuple[int, int, int]:
     """Returns (mode, domain_bits, count); raises FormatError on mismatch."""
     if _read_exact(src, len(MAGIC)) != MAGIC:
@@ -177,8 +191,10 @@ def _read_records(src, mode: int, index_bits: int, count: int) -> list[list]:
     """The ``count`` records after the header, one list per field, sparse
     indices as ints.  Cells have the width the mode fixes, else the first
     cell's.  The first record is read alone, then up to ``RECORDS_PER_WRITE``
-    per read: no read is sized from the count, or from a width unread.  Each
-    record's tuple is dropped once read: kept, they make the GC run full passes."""
+    per chunk: no chunk is sized from the count, or from a width unread, and
+    no read asks for over ``MAX_READ`` bytes, whatever width the first cell
+    declares.  Each record's tuple is dropped once read: kept, they make the
+    GC run full passes."""
     fields, fixed = RECORDS[mode]
     columns: list[list] = [[] for _ in fields]
     if count:
@@ -190,7 +206,7 @@ def _read_records(src, mode: int, index_bits: int, count: int) -> list[list]:
         done, per_read = 0, 1
         while done < count:
             k = min(count - done, per_read)
-            data = pending + src.read(k * size - len(pending))
+            data = pending + _read_upto(src, k * size - len(pending))
             if len(data) != k * size:
                 raise _chunk_error(data, size, offsets, fixed, width)
             # every cell length in the chunk is ``width``: byte i of each is one strided slice

@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 
 from .cipher import SecretKey, decrypt, encrypt, prf
 from .core import CoinSource, Domain
@@ -215,19 +216,11 @@ def build_fhope(
     decided by coin flips, so the decrypted sequence is sorted either way."""
     if coins is None:
         coins = CoinSource()
-    order = sorted(range(len(plaintexts)), key=lambda i: plaintexts[i])
-    # re-draw the order of each equal-value run from the coins
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and plaintexts[order[j]] == plaintexts[order[i]]:
-            j += 1
-        run = order[i:j]
-        for t in range(len(run) - 1, 0, -1):  # Fisher-Yates on the run
-            s = coins.randrange(t + 1)
-            run[t], run[s] = run[s], run[t]
-        order[i:j] = run
-        i = j
+    value, order = plaintexts.__getitem__, []
+    for _, run in groupby(sorted(range(len(plaintexts)), key=value), key=value):
+        run = list(run)
+        coins.shuffle(run)  # the order of equal values, drawn from the coins
+        order += run
     cells = [bytes(encrypt(key, plaintexts[i], domain_size)) for i in order]
     values = [plaintexts[i] for i in order]
     out = FhopeEseds(cells, values)

@@ -333,7 +333,7 @@ class StoreServer:
             return ErrorMsg(E_STORE_FULL, str(e))
         except store_mod.StoreError as e:
             return ErrorMsg(E_BAD_REQUEST, str(e))
-        except Exception as e:  # pragma: no cover - defensive
+        except Exception as e:  # a failed save, or a fault in the store
             return ErrorMsg(E_INTERNAL, f"{type(e).__name__}: {e}")
 
     def _dispatch(self, msg: Message) -> Message:

@@ -16,7 +16,6 @@ from eseds.attacks import ATTACKS, AttackError
 from eseds.cli import UserError, _parse_addr, build_parser, main, open_session, read_keyfile
 from eseds.cli.attack import run_attack
 from eseds.core import CoinSource, insert
-from eseds.store import DenseStore
 from eseds.transforms import TARGETS
 from eseds.transport import DEFAULT_PORT, serve
 
@@ -193,9 +192,9 @@ def test_concurrent_writable_sessions_do_not_lose_updates(capsys, store, monkeyp
     key, dom = read_keyfile(store + ".key")
     args = argparse.Namespace(addr=None, store=store)
     events = []
-    load, save = store_mod.load, DenseStore.save
+    load, save = store_mod.load, store_mod.write_file
     monkeypatch.setattr(store_mod, "load", lambda path: events.append("load") or load(path))
-    monkeypatch.setattr(DenseStore, "save", lambda self, sink: (save(self, sink), events.append("save"))[0])
+    monkeypatch.setattr(store_mod, "write_file", lambda *args: (save(*args), events.append("save"))[0])
     first_inside, release = threading.Event(), threading.Event()
 
     def writer(value, inside):
@@ -223,6 +222,24 @@ def test_concurrent_writable_sessions_do_not_lose_updates(capsys, store, monkeyp
 # ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", [("insert", "--seed", "1", "4"), ("rebalance",)])
+def test_a_failed_embedded_save_prints_no_result_and_releases_the_lock(capsys, store, monkeypatch, command):
+    init(capsys, store, "--mode", "decoupled", "--index-bits", "16")
+    run(capsys, "insert", "--store", store, "--seed", "1", "8,1")
+    before = Path(store).read_bytes()
+
+    def full(*args):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store_mod, "write_file", full)
+        code, out, err = run(capsys, *command[:1], "--store", store, *command[1:])
+    assert (code, out, err) == (1, "", "error: server: internal: OSError: disk full\n")
+    assert Path(store).read_bytes() == before
+    code, out, _ = run(capsys, "insert", "--store", store, "--seed", "2", "5")  # the lock was released
+    assert (code, out) == (0, "length 3\n")
 
 
 def test_missing_store_is_user_error(capsys, tmp_path):
@@ -278,6 +295,14 @@ def test_parse_addr(addr, want):
             _parse_addr(addr)
     else:
         assert _parse_addr(addr) == want
+
+
+@pytest.mark.parametrize("addr", ["::1", "[::1]:7487"])
+def test_ipv6_addresses_are_usage_errors(capsys, store, addr):  # the server binds IPv4 only
+    init(capsys, store)
+    code, _, err = run(capsys, "topk", "--store", store, "--addr", addr, "1")
+    assert code == 1
+    assert err.startswith("error: usage:") and "IPv4" in err
 
 
 #: each command with arguments it accepts, then the shared options it does
@@ -467,6 +492,13 @@ def test_bench_tiny_run_with_csv(capsys, tmp_path):
     assert "search" in out and "topk" in out
     header = out_path.read_text().splitlines()[0]
     assert header.split(",")[:3] == ["kind", "n", "param"]
+
+
+@pytest.mark.parametrize("option, value", [("--db-sizes", ""), ("--range-sizes", "x"), ("--k-values", ",")])
+def test_bench_refuses_an_empty_or_bad_number_list(capsys, option, value):
+    code, out, err = run(capsys, "bench", option, value, "--repeats", "1", "--warmup", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: usage:") and option in err
 
 
 def test_bench_rejects_bad_warmup(capsys):

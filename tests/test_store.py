@@ -700,6 +700,16 @@ def test_a_count_of_2_63_over_one_record_fails_at_once(key, kind):
         assert len(src.sizes) < 16 and max(src.sizes) <= RECORDS_PER_WRITE * len(raw)
 
 
+def test_a_first_cell_declaring_4_gib_fails_with_bounded_reads():
+    raw = bytearray(_saved(DenseStore(cells(1, 2))))
+    raw[19:23] = (2**32 - 1).to_bytes(4, "little")  # the first cell's length, after the header
+    for loader in (load, load_any):
+        src = _CountingReads(bytes(raw))
+        with pytest.raises(FormatError, match="truncated"):
+            loader(src)
+        assert max(src.sizes) <= 1 << 20  # no read sized from the declared width
+
+
 def test_failed_save_leaves_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "d.store"
     old = DenseStore(cells(1, 2, 3))

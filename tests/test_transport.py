@@ -325,6 +325,19 @@ def test_server_save_without_path():
     assert isinstance(resp, ErrorMsg) and resp.code == 5
 
 
+def test_a_failed_save_is_an_internal_error_and_the_session_goes_on(tmp_path, monkeypatch):
+    def full(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(store_mod, "write_file", full)
+    session = LocalSession(StoreServer(DenseStore([b"abc"]), save_path=str(tmp_path / "s.store")))
+    with pytest.raises(ServerError) as info:
+        session.save()
+    assert info.value.code == transport.E_INTERNAL and info.value.message == "OSError: disk full"
+    assert session.request(Length()) == Len(1)
+    assert not (tmp_path / "s.store").exists()
+
+
 def _hold_first_write(monkeypatch):
     """Patch the store writer so the first write waits until the returned
     ``release`` is set; ``writing`` is set once it waits."""
