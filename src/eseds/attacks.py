@@ -214,9 +214,9 @@ def _by_class(attack):
 
 
 #: The lab's attacks by name.  Each row takes a snapshot's class labels (one
-#: per position, see ``transforms.leakage_view``), the known plaintext
-#: multiset and the domain size, and returns a list of one guess per
-#: position.  Only sorting raises :class:`Inapplicable`, on data not dense.
+#: per position, as a row of ``transforms.TARGETS`` returns them), the known
+#: plaintext multiset and the domain size, and returns a list of one guess
+#: per position.  Only sorting raises :class:`Inapplicable`, on data not dense.
 ATTACKS = {
     "frequency": _by_class(frequency_analysis),
     "lp": _by_class(lp_optimization),

@@ -37,12 +37,12 @@ from ..store import DecoupledStore, DenseStore, StoreError
 from ..transforms import TARGETS
 from ..transport import (
     DEFAULT_PORT,
+    EsedsTcpServer,
     LocalSession,
     ServerError,
     StoreServer,
     TcpSession,
     TransportError,
-    serve,
 )
 from .attack import DISTRIBUTIONS, run_attack
 from .bench import BenchConfig, run_bench
@@ -125,13 +125,25 @@ def _store_lock(path: str):
 
 
 @contextlib.contextmanager
+def _served_store(path: str, lock: bool = True):
+    """The store file served in this process, saved back to ``path``.  With
+    ``lock``, ``<store>.lock`` is held from before the load until the block
+    exits, so a server and the embedded writers of one file take turns."""
+    if not os.path.exists(path):  # before the lock file is created beside it
+        raise UserError(f"store file {path} does not exist (run init first)")
+    with _store_lock(path) if lock else contextlib.nullcontext():
+        yield StoreServer(store_mod.load(path), save_path=path)
+
+
+@contextlib.contextmanager
 def open_session(args, writable: bool = False):
     """Session against --addr, or embedded against the --store file.
 
     A writable session persists on clean exit with one SAVE, which a server
     answers the same way whether it runs in another process or in this one.
     An embedded writer holds the store's lock file from before the load
-    until after that SAVE, so concurrent writers run one after the other.
+    until after that SAVE, so concurrent writers, and a server of the file,
+    run one after the other.
     A failed SAVE raises out of the block, so its command prints no result.
     """
     with contextlib.ExitStack() as stack:
@@ -140,11 +152,7 @@ def open_session(args, writable: bool = False):
         else:
             if not args.store:
                 raise UserError("--store is required without --addr")
-            if not os.path.exists(args.store):
-                raise UserError(f"store file {args.store} does not exist (run init first)")
-            if writable:
-                stack.enter_context(_store_lock(args.store))
-            session = LocalSession(StoreServer(store_mod.load(args.store), save_path=args.store))
+            session = LocalSession(stack.enter_context(_served_store(args.store, lock=writable)))
         yield session
         if writable:
             session.save()
@@ -224,20 +232,18 @@ def cmd_topk(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    if not os.path.exists(args.store):
-        raise UserError(f"store file {args.store} does not exist (run init first)")
-    store = store_mod.load(args.store)
     host, port = _parse_addr(args.addr or "")
-    server = serve(store, host=host, port=port, save_path=args.store)
-    host, port = server.server_address
-    print(f"serving {args.store} on {host}:{port}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-        server.server_close()
+    with _served_store(args.store) as store_server:
+        server = EsedsTcpServer((host, port), store_server)
+        host, port = server.server_address
+        print(f"serving {args.store} on {host}:{port}", flush=True)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
+        finally:
+            server.shutdown()
+            server.server_close()
     return 0
 
 

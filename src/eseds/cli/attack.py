@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..attacks import ATTACKS, AttackError, Inapplicable, score
 from ..cipher import SecretKey
 from ..core import Domain
-from ..transforms import TARGETS, build_target, leakage_view
+from ..transforms import TARGETS, build_target
 
 DISTRIBUTIONS = ("uniform", "zipf", "dense")
 
@@ -70,10 +70,10 @@ def run_attack(
     rng = random.Random(seed)
     multiset = draw_multiset(n, domain_size, distribution, rng)
     key = SecretKey(rng.randbytes(32))
-    structure, truth = build_target(target, key, multiset, Domain(domain_size), rng)
+    labels, truth = build_target(target, key, multiset, Domain(domain_size), rng)
     baseline = max(Counter(multiset).values()) / n
     try:
-        guesses = ATTACKS[attack](leakage_view(structure), multiset, domain_size)
+        guesses = ATTACKS[attack](labels, multiset, domain_size)
     except Inapplicable as exc:
         return AttackReport(attack, target, n, domain_size, None, baseline, str(exc))
     return AttackReport(attack, target, n, domain_size, score(guesses, truth), baseline)

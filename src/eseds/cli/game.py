@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from ..cipher import SecretKey, keygen
 from ..core import Domain
-from ..transforms import TARGETS, build_target, leakage_view
+from ..transforms import TARGETS, build_target
 
 
 class GameError(Exception):
@@ -128,8 +128,8 @@ def run_game(cfg: GameConfig) -> GameResult:
         multiset = list((m0, m1)[b])
         key = SecretKey(rng.randbytes(32)) if cfg.seed is not None else keygen()
         dom = Domain(max(*m0, *m1) + 1)
-        structure, truth = build_target(cfg.target, key, multiset, dom, rng)
-        j, m_guess = adversary.guess(leakage_view(structure))
+        labels, truth = build_target(cfg.target, key, multiset, dom, rng)
+        j, m_guess = adversary.guess(labels)
         if not 0 <= j < len(multiset):
             raise GameError(f"guess position {j} out of range")
         if truth[j] == m_guess:

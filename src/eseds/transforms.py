@@ -5,17 +5,16 @@ attacks module can be pointed at any of them: deterministic encryption
 (keyed-PRF bucket per distinct value, duplicates chained), deterministic
 order-preserving placement (distinct values at their sorted rank), and
 frequency-hiding order-preserving placement (one cell per occurrence,
-sorted, ties in coin order).  Each build also records the true plaintext
-per position, which stays in memory for scoring and is never serialized.
+sorted, ties in coin order).  A layout holds only ciphertexts and links.
 
 ``store`` owns the file format of these layouts too.  Each layout here is
 its ``mode`` plus ``records()``, its record columns, and ``from_records``,
 which takes them back; saving and equality come from ``store.Layout``.
 
-``TARGETS`` names the four structures the attack lab builds (the three
-layouts and the main rotated store), ``build_target`` is the one place
-that builds them and says which plaintext sits at each position, and
-``leakage_view`` is all that a snapshot of any of them shows.
+``TARGETS`` is the lab's table of the four structures it attacks (the
+three layouts and the main rotated store): each row builds one and returns
+what a snapshot of it shows and the cell at each position, and
+``build_target`` decrypts those cells into the truth that scores a guess.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from itertools import groupby
 
 from .cipher import SecretKey, decrypt, encrypt, prf
 from .core import CoinSource, Domain
-from .store import MODE_DECOUPLED, MODE_DENSE, MODE_DET, MODE_FHOPE, MODE_OPE
+from .store import MODE_DET, MODE_FHOPE, MODE_OPE
 from .store import DenseStore, FormatError, Layout, load_file
 
 NO_NEXT = -1
@@ -66,9 +65,8 @@ def _derive_chains(slots: list[ChainSlot]) -> tuple[int, ...]:
 class _ChainTable(Layout):
     """Shared behavior of the two chained layouts."""
 
-    def __init__(self, slots: list[ChainSlot], cell_values: list[int] | None):
+    def __init__(self, slots: list[ChainSlot]):
         self.slots = slots
-        self.cell_values = cell_values  # in-memory truth for scoring; never saved
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -81,7 +79,7 @@ class _ChainTable(Layout):
     def from_records(cls, domain_bits: int, columns: list[list]):
         slots = [ChainSlot(*fields) for fields in zip(*columns)]
         _derive_chains(slots)  # a file's links must form chains that cover the table
-        return cls(slots, None)
+        return cls(slots)
 
 
 class DetEseds(_ChainTable):
@@ -119,9 +117,8 @@ class FhopeEseds(Layout):
 
     mode = MODE_FHOPE
 
-    def __init__(self, cells: list[bytes], cell_values: list[int] | None):
+    def __init__(self, cells: list[bytes]):
         self.cells = cells
-        self.cell_values = cell_values
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -131,7 +128,7 @@ class FhopeEseds(Layout):
 
     @classmethod
     def from_records(cls, domain_bits: int, columns: list[list]) -> "FhopeEseds":
-        return cls(*columns, None)
+        return cls(*columns)
 
 
 # ---------------------------------------------------------------------------
@@ -150,23 +147,17 @@ def _occupy(taken: list[bool], start: int) -> int:
     return j
 
 
-def build_det(
-    key: SecretKey, plaintexts: list[int], domain_size: int, row_ids: list[int] | None = None
-) -> DetEseds:
+def build_det(key: SecretKey, plaintexts: list[int], domain_size: int) -> DetEseds:
     """n-slot table, one slot per occurrence: the first occurrence of each
     distinct value heads a chain at its PRF bucket (next free slot if a
     different value's chain already claimed it; the probe path is leakage
-    this layout accepts), duplicates extend the chain."""
+    this layout accepts), duplicates extend the chain.  Row ids are the
+    occurrence index."""
     n = len(plaintexts)
-    if row_ids is None:
-        row_ids = list(range(n))
-    if len(row_ids) != n:
-        raise ValueError("one row id per plaintext required")
     slots: list[ChainSlot | None] = [None] * n
-    values: list[int | None] = [None] * n
     taken = [False] * n
     tail: dict[int, int] = {}  # value -> last slot of its chain
-    for m, rid in zip(plaintexts, row_ids):
+    for rid, m in enumerate(plaintexts):
         if m in tail:
             j = _occupy(taken, tail[m] + 1)
             slots[tail[m]].next = j
@@ -175,9 +166,8 @@ def build_det(
         slots[j] = ChainSlot(
             bytes(encrypt(key, m, domain_size)), bytes(encrypt(key, rid, 1 << 64)), NO_NEXT
         )
-        values[j] = m
         tail[m] = j
-    return DetEseds(slots, values)
+    return DetEseds(slots)
 
 
 def build_ope(key: SecretKey, plaintexts: list[int], domain_size: int) -> OpeEseds:
@@ -187,7 +177,6 @@ def build_ope(key: SecretKey, plaintexts: list[int], domain_size: int) -> OpeEse
     counts = Counter(plaintexts)
     distinct = sorted(counts)
     slots: list[ChainSlot | None] = [None] * n
-    values: list[int | None] = [None] * n
     next_free = len(distinct)
     rid = 0
     for rank, v in enumerate(distinct):
@@ -195,7 +184,6 @@ def build_ope(key: SecretKey, plaintexts: list[int], domain_size: int) -> OpeEse
         slots[j] = ChainSlot(
             bytes(encrypt(key, v, domain_size)), bytes(encrypt(key, rid, 1 << 64)), NO_NEXT
         )
-        values[j] = v
         rid += 1
         for _ in range(counts[v] - 1):
             slots[j].next = next_free
@@ -203,10 +191,9 @@ def build_ope(key: SecretKey, plaintexts: list[int], domain_size: int) -> OpeEse
             slots[j] = ChainSlot(
                 bytes(encrypt(key, v, domain_size)), bytes(encrypt(key, rid, 1 << 64)), NO_NEXT
             )
-            values[j] = v
             rid += 1
             next_free += 1
-    return OpeEseds(slots, values)
+    return OpeEseds(slots)
 
 
 def build_fhope(
@@ -222,8 +209,7 @@ def build_fhope(
         coins.shuffle(run)  # the order of equal values, drawn from the coins
         order += run
     cells = [bytes(encrypt(key, plaintexts[i], domain_size)) for i in order]
-    values = [plaintexts[i] for i in order]
-    out = FhopeEseds(cells, values)
+    out = FhopeEseds(cells)
     out.placement = order  # occurrence index per position, for tie tests
     return out
 
@@ -236,42 +222,48 @@ def bulk_store(key: SecretKey, values: list[int], dom: Domain, rng: random.Rando
     return DenseStore(cells[rot:] + cells[:rot])
 
 
-TARGETS = ("main_eseds", "fhope", "ope", "det")
+def _unlinked(cells: list[bytes]) -> tuple[tuple[int, ...], list[bytes]]:
+    """A row's result where a snapshot labels each position by itself."""
+    return tuple(range(len(cells))), cells
+
+
+def _chained(table: _ChainTable) -> tuple[tuple[int, ...], list[bytes]]:
+    """A row's result where a position's label is its chain's head slot."""
+    return _derive_chains(table.slots), [s.kw_ct for s in table.slots]
+
+
+#: The lab's targets by name.  Each row takes (key, multiset, dom, rng),
+#: builds the target over the multiset and returns (labels, cells): what a
+#: snapshot shows, one class label per position, equal labels for cells a
+#: snapshot shows to hold equal values, and the cell at each position.
+#: Only main_eseds and fhope draw from rng.
+#:
+#: DET and OPE chain duplicates, so a position's label is its chain's head
+#: slot; an OPE head sits at its value's rank, so ascending labels are the
+#: value order.  FHOPE and the main store label each position by itself:
+#: every cell is a fresh ciphertext.  A main store's order starts at a
+#: uniformly random rotation, except that a decoupled store's sparse
+#: indices show which cells came since its last re-spacing, because each
+#: insert takes the midpoint of its gap.
+TARGETS = {
+    "main_eseds": lambda key, multiset, dom, rng: _unlinked(
+        bulk_store(key, multiset, dom, rng).logical_cells()
+    ),
+    "fhope": lambda key, multiset, dom, rng: _unlinked(
+        build_fhope(key, multiset, dom.size, coins=CoinSource(rng.getrandbits(64))).cells
+    ),
+    "ope": lambda key, multiset, dom, rng: _chained(build_ope(key, multiset, dom.size)),
+    "det": lambda key, multiset, dom, rng: _chained(build_det(key, multiset, dom.size)),
+}
 
 
 def build_target(name: str, key: SecretKey, multiset: list[int], dom: Domain, rng: random.Random):
-    """Build the named target over the multiset and return it with its truth,
-    the plaintext at each position.  Only main_eseds and fhope draw from rng."""
-    if name == "main_eseds":
-        store = bulk_store(key, multiset, dom, rng)
-        return store, [decrypt(key, cell) for cell in store.logical_cells()]
-    if name == "fhope":
-        target = build_fhope(key, multiset, dom.size, coins=CoinSource(rng.getrandbits(64)))
-    elif name == "ope":
-        target = build_ope(key, multiset, dom.size)
-    elif name == "det":
-        target = build_det(key, multiset, dom.size)
-    else:
+    """The named target's snapshot labels over the multiset, and its truth:
+    the plaintext at each position, decrypted from the row's cells."""
+    if name not in TARGETS:
         raise ValueError(f"unknown target {name!r}")
-    return target, list(target.cell_values)
-
-
-def leakage_view(target) -> tuple[int, ...]:
-    """What a snapshot shows: one class label per position, equal labels
-    for cells a snapshot shows to hold equal values.
-
-    DET and OPE chain duplicates, so a position's label is its chain's head
-    slot; an OPE head sits at its value's rank, so ascending labels are the
-    value order.  FHOPE and the main stores label each position by itself:
-    every cell is a fresh ciphertext.  A main store's order starts at a
-    uniformly random rotation, except that a decoupled store's sparse
-    indices show which cells came since its last re-spacing, because each
-    insert takes the midpoint of its gap."""
-    if isinstance(target, _ChainTable):
-        return _derive_chains(target.slots)
-    if isinstance(target, FhopeEseds) or getattr(target, "mode", None) in (MODE_DENSE, MODE_DECOUPLED):
-        return tuple(range(len(target)))
-    raise TypeError(f"no leakage view for {type(target).__name__}")
+    labels, cells = TARGETS[name](key, multiset, dom, rng)
+    return labels, [decrypt(key, cell) for cell in cells]
 
 
 def load_any(source):

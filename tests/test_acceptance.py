@@ -23,13 +23,13 @@ from eseds.attacks import (
     score,
     sorting_attack,
 )
-from eseds.cipher import encrypt, keygen
+from eseds.cipher import decrypt, encrypt, keygen
 from eseds.cli.attack import run_attack
 from eseds.cli.bench import BenchConfig, run_bench
 from eseds.cli.game import GameConfig, run_game
 from eseds.core import CoinSource, Domain, RangeQuery, insert, search_range
 from eseds.store import DecoupledStore, DenseStore, load as load_store
-from eseds.transforms import build_det, build_fhope, build_ope, bulk_store, leakage_view, load_any
+from eseds.transforms import _derive_chains, build_det, build_fhope, build_ope, bulk_store, load_any
 from eseds.transport import (
     Cells,
     ErrorMsg,
@@ -256,7 +256,7 @@ def test_criterion_05_bucketing_exact_on_fhope_blind_on_rotation(capsys):
         n = rng.randrange(4, 20)
         multiset = [rng.randrange(16) for _ in range(n)]
         fh = build_fhope(KEY, multiset, 16, coins=CoinSource(rng.getrandbits(64)))
-        acc = score(bucketing_attack(multiset), fh.cell_values)
+        acc = score(bucketing_attack(multiset), [decrypt(KEY, cell) for cell in fh.cells])
         if acc != 1.0:
             failures.append(f"fhope trial {trial}: accuracy {acc} != 1.0")
 
@@ -297,9 +297,9 @@ def test_criterion_06_sorting_dense_exact_else_inapplicable(capsys):
         values = list(range(domain_size)) + [rng.randrange(domain_size) for _ in range(rng.randrange(20))]
         rng.shuffle(values)
         ope = build_ope(KEY, values, domain_size)
-        labels = leakage_view(ope)
+        labels = _derive_chains(ope.slots)
         guesses = sorting_attack(sorted(set(labels)), domain_size)
-        acc = score([guesses[l] for l in labels], ope.cell_values)
+        acc = score([guesses[l] for l in labels], [decrypt(KEY, s.kw_ct) for s in ope.slots])
         if acc != 1.0:
             failures.append(f"dense trial {trial}: accuracy {acc} != 1.0")
 

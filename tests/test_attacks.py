@@ -19,8 +19,9 @@ from eseds.attacks import (
     sorting_attack,
     _assign,
 )
-from eseds.core import CoinSource
-from eseds.transforms import build_det, build_fhope, build_ope, leakage_view
+from eseds.cipher import decrypt
+from eseds.core import Domain
+from eseds.transforms import TARGETS, _derive_chains, build_det, build_ope
 
 from helpers import brute_assignment, bucketing_expectation
 
@@ -63,11 +64,11 @@ def test_score_compares_positions():
 
 def test_frequency_on_det_view(key):
     det = build_det(key, [5, 5, 9], 16)
-    labels = leakage_view(det)
+    labels = _derive_chains(det.slots)
     c_hist = Histogram.from_labels(labels)
     m_hist = Histogram.from_labels([5, 5, 9])
     mapping = frequency_analysis(c_hist, m_hist)
-    assert score([mapping[l] for l in labels], det.cell_values) == 1.0
+    assert score([mapping[l] for l in labels], [decrypt(key, s.kw_ct) for s in det.slots]) == 1.0
 
 
 def test_frequency_tie_break_is_smallest_label():
@@ -172,10 +173,10 @@ def test_assign_refuses_costs_that_float64_would_round():
 
 def test_sorting_reads_dense_order(key):
     ope = build_ope(key, [3, 0, 1, 2, 2], 4)
-    labels = leakage_view(ope)
+    labels = _derive_chains(ope.slots)
     classes = sorted(set(labels))  # ascending head rank = value order
     mapping = sorting_attack(classes, 4)
-    assert score([mapping[l] for l in labels], ope.cell_values) == 1.0
+    assert score([mapping[l] for l in labels], [decrypt(key, s.kw_ct) for s in ope.slots]) == 1.0
 
 
 def test_sorting_applicability():
@@ -206,7 +207,7 @@ def test_cumulative_uses_position_to_split_frequency_ties():
 def test_cumulative_on_dense_view_matches_sorting(key):
     values = [0, 1, 2, 3, 2, 0]
     ope = build_ope(key, values, 4)
-    labels = leakage_view(ope)
+    labels = _derive_chains(ope.slots)
     classes = sorted(set(labels))
     c_hist = Histogram(tuple(classes), tuple(labels.count(c) for c in classes))
     m_hist = Histogram.from_labels(values)
@@ -282,14 +283,13 @@ def test_bucketing_guess_must_cover_every_position():
 def test_attack_table_rows_guess_once_per_position(key):
     values = [3, 1, 3, 0, 2, 1, 3, 2]  # every value of a domain of 4
     assert tuple(ATTACKS) == ("frequency", "lp", "sorting", "cumulative", "bucketing")
-    builds = (build_det, build_ope, lambda *args: build_fhope(*args, coins=CoinSource(1)))
-    for build in builds:
-        labels = leakage_view(build(key, values, 4))
+    for row in TARGETS.values():
+        labels, _ = row(key, values, Domain(4), random.Random(1))
         for name, row in ATTACKS.items():
             try:
                 guesses = row(labels, values, 4)
             except Inapplicable:
-                # sorting needs one class per domain value; fhope shows eight
+                # sorting needs one class per domain value; main_eseds and fhope show eight
                 assert (name, len(set(labels))) == ("sorting", 8)
                 continue
             assert isinstance(guesses, list) and len(guesses) == len(values)

@@ -2,6 +2,7 @@
 
 import argparse
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -219,6 +220,43 @@ def test_concurrent_writable_sessions_do_not_lose_updates(capsys, store, monkeyp
     assert [l for l in out.splitlines() if l.startswith("value")] == ["value 5", "value 9"]
 
 
+def test_an_embedded_writer_waits_until_the_server_of_its_file_stops(capsys, store):
+    init(capsys, store)
+    src = str(Path(eseds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # SIGINT stops the server as it stops one run from a terminal, even
+    # where this test's own process was started with SIGINT ignored
+    child = (
+        "import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+        f"from eseds.cli import main; sys.exit(main(['serve', '--store', {store!r}, '--addr', '127.0.0.1:0']))"
+    )
+    with subprocess.Popen(
+        [sys.executable, "-c", child], env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
+    ) as server:
+        try:
+            line = server.stdout.readline()  # serving <store> on <host>:<port>
+            assert line.startswith("serving"), line
+            codes = []
+            embedded = threading.Thread(
+                target=lambda: codes.append(main(["insert", "--store", store, "--seed", "1", "5"])), daemon=True
+            )
+            embedded.start()
+            embedded.join(0.5)
+            assert embedded.is_alive()  # waiting for the lock the server holds
+            code, out, err = run(capsys, "insert", "--store", store, "--addr", line.split()[-1], "--seed", "2", "9")
+            assert (code, out) == (0, "length 1\n"), err
+            assert embedded.is_alive()
+            server.send_signal(signal.SIGINT)
+            assert server.wait(10) == 0
+            embedded.join(10)
+            assert codes == [0]
+        finally:
+            server.kill()
+    code, out, _ = run(capsys, "topk", "--store", store, "2")
+    assert code == 0
+    assert [l for l in out.splitlines() if l.startswith("value")] == ["value 5", "value 9"]
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------
@@ -246,6 +284,18 @@ def test_missing_store_is_user_error(capsys, tmp_path):
     code, _, err = run(capsys, "query", "--store", str(tmp_path / "nope.store"), "0", "1")
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command", [("serve", "--addr", "127.0.0.1:0"), ("insert", "--seed", "1", "5")], ids=["serve", "embedded_insert"]
+)
+def test_a_missing_store_is_refused_before_its_lock_file_is_made(capsys, store, command):
+    init(capsys, store)
+    os.remove(store)  # its keyfile stays, so the command reaches the store
+    code, out, err = run(capsys, command[0], "--store", store, *command[1:])
+    assert (code, out) == (1, "")
+    assert err == f"error: usage: store file {store} does not exist (run init first)\n"
+    assert os.listdir(os.path.dirname(store)) == [os.path.basename(store) + ".key"]
 
 
 def test_corrupt_keyfile_is_user_error(capsys, store):
@@ -439,7 +489,7 @@ def test_lab_commands_take_their_targets_from_the_transform_table():
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     for name in ("attack", "game"):
         (target,) = [a for a in commands.choices[name]._actions if a.dest == "target"]
-        assert tuple(target.choices) == TARGETS
+        assert tuple(target.choices) == tuple(TARGETS)
 
 
 def test_attack_command_takes_its_attacks_from_the_attack_table():

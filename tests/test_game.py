@@ -23,7 +23,7 @@ def test_config_validation():
     with pytest.raises(GameError):
         GameConfig(100, "position_guesser", "plaintext")
     assert set(ADVERSARIES) == {"position_guesser", "multiset_distinguisher"}
-    assert TARGETS == ("main_eseds", "fhope", "ope", "det")
+    assert tuple(TARGETS) == ("main_eseds", "fhope", "ope", "det")
 
 
 def test_result_arithmetic():
@@ -111,8 +111,8 @@ def test_multiset_distinguisher_inspects_view():
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_adversary_sees_one_label_per_position_and_no_plaintext(monkeypatch, target):
-    # fhope, ope and det keep each position's plaintext on the structure for
-    # scoring; the adversary must get only the labels
+    # each trial decrypts the target's cells into the truth that scores the
+    # guess; the adversary must get only the labels
     seen = []
 
     class Recorder(PositionGuesser):

@@ -644,10 +644,10 @@ def _loaders(target):
 
 #: a layout of another type over the same cells or slots as the given one
 _OTHER_TYPE = {
-    "dense": lambda st: FhopeEseds(st.logical_cells(), None),
+    "dense": lambda st: FhopeEseds(st.logical_cells()),
     "decoupled": lambda st: DenseStore(st.logical_cells()),
-    "det": lambda table: OpeEseds(table.slots, None),
-    "ope": lambda table: DetEseds(table.slots, None),
+    "det": lambda table: OpeEseds(table.slots),
+    "ope": lambda table: DetEseds(table.slots),
     "fhope": lambda table: DenseStore(table.cells),
 }
 

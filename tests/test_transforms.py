@@ -1,4 +1,4 @@
-"""Legacy layout builders: chain structure, leakage views, persistence."""
+"""Legacy layout builders: chain structure, persistence, the lab's target table."""
 
 import gc
 import io
@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from eseds.cipher import CELL_LEN, decrypt, encrypt, keygen, prf
-from eseds.core import CoinSource, Domain, insert
+from eseds.core import CoinSource, Domain
 from eseds.store import (
     MODE_DET,
     MODE_FHOPE,
@@ -23,18 +23,13 @@ from eseds.transforms import (
     NO_NEXT,
     TARGETS,
     DetEseds,
-    FhopeEseds,
-    OpeEseds,
     _derive_chains,
     build_det,
     build_fhope,
     build_ope,
     build_target,
-    leakage_view,
     load_any,
 )
-from eseds.transport import LocalSession
-
 from helpers import reference_store_file
 from instancelib import insert_all
 
@@ -67,14 +62,7 @@ def test_det_lookup_row_ids(key):
     assert det.lookup(key, 5) == [0, 1, 3]  # occurrence order
     assert det.lookup(key, 9) == [2]
     assert det.lookup(key, 7) == []
-    assert DetEseds([], None).lookup(key, 5) == []
-
-
-def test_det_custom_row_ids(key):
-    det = build_det(key, [4, 4], 8, row_ids=[100, 200])
-    assert det.lookup(key, 4) == [100, 200]
-    with pytest.raises(ValueError):
-        build_det(key, [4, 4], 8, row_ids=[1])
+    assert DetEseds([]).lookup(key, 5) == []
 
 
 def test_det_collisions_resolved_and_lookup_survives():
@@ -108,8 +96,8 @@ def test_derive_chains_matches_build_truth(key):
 
 def test_det_leakage_view(key):
     det = build_det(key, [5, 5, 9], 16)
-    labels = leakage_view(det)
-    assert labels == _derive_chains(det.slots) and len(labels) == 3
+    labels = _derive_chains(det.slots)
+    assert len(labels) == 3
     assert len(set(labels)) == 2
 
 
@@ -122,8 +110,8 @@ def test_ope_heads_in_sorted_rank_order(key):
     ope = build_ope(key, [9, 1, 5, 5, 1, 1], 16)
     # ranks 0..d-1 hold the distinct values in ascending order
     assert [decrypt(key, ope.slots[r].kw_ct) for r in range(3)] == [1, 5, 9]
-    assert sorted(set(leakage_view(ope))) == [0, 1, 2]  # the leaked value order
     labels = _derive_chains(ope.slots)
+    assert sorted(set(labels)) == [0, 1, 2]  # the leaked value order
     assert Counter(labels)[0] == 3 and Counter(labels)[1] == 2 and Counter(labels)[2] == 1
 
 
@@ -139,7 +127,7 @@ def test_ope_leakage_orders_classes_by_value(key):
     for _ in range(20):
         values = [rng.randrange(12) for _ in range(rng.randrange(1, 12))]
         ope = build_ope(key, values, 16)
-        ranks = sorted(set(leakage_view(ope)))
+        ranks = sorted(set(_derive_chains(ope.slots)))
         assert [decrypt(key, ope.slots[r].kw_ct) for r in ranks] == sorted(set(values))
 
 
@@ -155,7 +143,6 @@ def test_fhope_decrypts_sorted(key):
         fh = build_fhope(key, values, 16, coins=CoinSource(rng.getrandbits(64)))
         plain = [decrypt(key, cell) for cell in fh.cells]
         assert plain == sorted(values)
-        assert fh.cell_values == plain
 
 
 def test_fhope_ties_take_both_orders(key):
@@ -164,11 +151,6 @@ def test_fhope_ties_take_both_orders(key):
         fh = build_fhope(key, [3, 3], 8, coins=CoinSource(seed))
         placements.add(tuple(fh.placement))
     assert placements == {(0, 1), (1, 0)}
-
-
-def test_fhope_leakage_view(key):
-    fh = build_fhope(key, [2, 2, 5], 8, coins=CoinSource(0))
-    assert leakage_view(fh) == (0, 1, 2)
 
 
 def test_fhope_every_cell_unique_bytes(key):
@@ -192,22 +174,6 @@ def test_transform_cells_are_plain_bytes(key):
 # ---------------------------------------------------------------------------
 
 
-def test_leakage_view_dispatch(key):
-    # chained layouts label a position by its chain's head; the others by itself
-    det = build_det(key, [1, 2, 1], 4)
-    assert leakage_view(det) == _derive_chains(det.slots)
-    assert leakage_view(build_ope(key, [2, 1, 2], 4)) == (0, 1, 1)
-    assert leakage_view(build_fhope(key, [1, 1], 4)) == (0, 1)
-
-    dom = Domain(8)
-    session, store = insert_all(key, [3, 1, 3], dom, seed=5)
-    assert leakage_view(store) == (0, 1, 2)
-    _, dec = insert_all(key, [3, 1, 3], dom, seed=5, mode="decoupled")
-    assert leakage_view(dec) == (0, 1, 2)
-    with pytest.raises(TypeError):
-        leakage_view(object())
-
-
 @pytest.mark.parametrize("builder", [build_det, build_ope])
 def test_chain_table_round_trip(tmp_path, key, builder):
     table = builder(key, [5, 5, 9, 1], 16)
@@ -216,7 +182,7 @@ def test_chain_table_round_trip(tmp_path, key, builder):
     loaded = load_any(path)
     assert type(loaded) is type(table)
     assert loaded == table
-    assert loaded.cell_values is None  # plaintext truth never persisted
+    assert set(vars(loaded)) == {"slots"}  # ciphertexts and links only: no plaintext rides on a layout
 
 
 def test_fhope_round_trip(tmp_path, key):
@@ -226,7 +192,7 @@ def test_fhope_round_trip(tmp_path, key):
     buf.seek(0)
     loaded = load_any(buf)
     assert loaded == fh
-    assert loaded.cell_values is None
+    assert set(vars(loaded)) == {"cells"}
 
 
 def test_load_any_dispatches_cell_stores(tmp_path, key):
@@ -297,7 +263,7 @@ def test_cell_store_loader_rejects_transform_files(tmp_path, key):
 
 def test_saved_transform_has_no_plaintext(tmp_path, key):
     # record bodies are AEAD output; the keyword bytes must not appear raw
-    det = build_det(key, [77, 77, 201], 256, row_ids=[10, 11, 12])
+    det = build_det(key, [77, 77, 201], 256)
     path = tmp_path / "det.store"
     det.save(path)
     raw = path.read_bytes()
@@ -315,16 +281,20 @@ def test_build_target_truth_is_the_plaintext_at_each_position(key, name):
     for seed in range(4):
         rng = random.Random(seed)
         multiset = [rng.randrange(6) for _ in range(rng.randrange(1, 30))]  # duplicates throughout
-        structure, truth = build_target(name, key, multiset, dom, rng)
-        if isinstance(structure, DenseStore):
-            cells = structure.logical_cells()
-        elif isinstance(structure, FhopeEseds):
-            cells = structure.cells
-        else:
-            cells = [slot.kw_ct for slot in structure.slots]
-        assert truth == [decrypt(key, cell) for cell in cells]
+        state = rng.getstate()
+        labels, truth = build_target(name, key, multiset, dom, rng)
+        rng.setstate(state)
+        row_labels, cells = TARGETS[name](key, multiset, dom, rng)
+        assert row_labels == labels and truth == [decrypt(key, cell) for cell in cells]
         assert sorted(truth) == sorted(multiset)
-        assert len(leakage_view(structure)) == len(multiset)
+        assert len(labels) == len(multiset)
+        first = {}
+        for label, m in zip(labels, truth):  # one label, one plaintext
+            assert first.setdefault(label, m) == m
+        if name in ("main_eseds", "fhope"):  # every cell a fresh ciphertext
+            assert len(set(labels)) == len(labels)
+            # sorted order from some rotation (fhope's is always 0)
+            assert any(truth[r:] + truth[:r] == sorted(multiset) for r in range(len(truth)))
 
 
 def test_build_target_refuses_an_unknown_name(key):
